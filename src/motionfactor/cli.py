@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -141,7 +142,14 @@ def cmd_synth3(args) -> int:
         print("error: poses file must hold exactly three 8-tuples", file=sys.stderr)
         return 2
     try:
-        poses = [normalize_pose(DualQuaternion.from_array(row), cfg.tolerance) for row in data]
+        rows = [DualQuaternion.from_array(row) for row in data]
+        if not all(math.isfinite(x) for h in rows for x in h.as_array()):
+            raise ValueError("pose coordinates must be finite")
+    except (TypeError, ValueError) as exc:
+        print(f"error: malformed poses file: {exc}", file=sys.stderr)
+        return 2
+    try:
+        poses = [normalize_pose(h, cfg.tolerance) for h in rows]
         bennett = synthesize_bennett(*poses, tol=cfg.tolerance)
         linkage = bennett.to_linkage(cfg.tolerance)
     except MotionFactorError as exc:
@@ -164,6 +172,8 @@ def cmd_curve(args) -> int:
     try:
         v = tuple(RealPoly.of(c) for c in data["v"])
         w = RealPoly.of(data["w"])
+        if not all(math.isfinite(x) for p in (*v, w) for x in p.coeffs):
+            raise ValueError("curve coefficients must be finite")
     except (KeyError, TypeError, ValueError) as exc:
         print(f"error: malformed curve file: {exc}", file=sys.stderr)
         return 2

@@ -21,6 +21,10 @@ class NotOnStudyQuadric(MotionFactorError):
     """Study condition defect exceeds tolerance."""
 
 
+class NonFiniteCoefficient(MotionFactorError):
+    """Polynomial has a NaN or infinite coefficient."""
+
+
 class NonRealNorm(MotionFactorError):
     """Dual part of the norm polynomial does not vanish."""
 

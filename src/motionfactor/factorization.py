@@ -37,6 +37,7 @@ from .polyring import (
     MotionPolynomial,
     RP_ONE,
     RealPoly,
+    group_quadratics,
     max_real_factor,
     quadratic_factors,
     real_roots_complex,
@@ -163,16 +164,14 @@ def _quadratic_of(h: DualQuaternion) -> RealPoly:
     return RealPoly((h.primal.norm(), -2.0 * h.primal.scalar(), 1.0))
 
 
-def _group_quadratics(ms: list[RealPoly], tol: float = 1e-7) -> list[tuple[RealPoly, int]]:
-    groups: list[tuple[RealPoly, int]] = []
-    for m in ms:
-        for i, (rep, cnt) in enumerate(groups):
-            if (m - rep).max_abs() <= tol * (1.0 + rep.max_abs()):
-                groups[i] = (rep, cnt + 1)
-                break
-        else:
-            groups.append((m, 1))
-    return groups
+def _peel(d: DQPoly, m: RealPoly, limit: float) -> tuple[DualQuaternion, DQPoly]:
+    """Right factor t - h of d with norm quadratic m, and the quotient by it."""
+    _, r = right_divide(d, DQPoly.from_real(m))
+    h = linear_zero(r)
+    quot, rem = right_divide(d, DQPoly.t_minus(h))
+    if rem.max_abs() > limit:
+        raise ExceptionalCase("division by the computed linear factor left a remainder")
+    return h, quot
 
 
 def factor_generic(c: MotionPolynomial, order: list[RealPoly] | None = None) -> Factorization:
@@ -185,24 +184,12 @@ def factor_generic(c: MotionPolynomial, order: list[RealPoly] | None = None) -> 
         raise ValueError("factor_generic needs a monic motion polynomial")
     if order is None:
         order = quadratic_factors(c.norm.monic())
-    d = c.poly
-    factors: list[DualQuaternion] = []
+    limit = 1e-6 * (1.0 + c.poly.max_abs())
+    d, factors = c.poly, ()
     for m in order:
-        _, r = right_divide(d, DQPoly.from_real(m))
-        h = linear_zero(r)
-        factors.insert(0, h)
-        d, rem = right_divide(d, DQPoly.t_minus(h))
-        if rem.max_abs() > 1e-6 * (1.0 + c.poly.max_abs()):
-            raise ExceptionalCase("division by the computed linear factor left a remainder")
-    return Factorization(tuple(factors))
-
-
-def _distinct_orders(groups: list[tuple[RealPoly, int]]) -> list[list[RealPoly]]:
-    labels: list[int] = []
-    for idx, (_, cnt) in enumerate(groups):
-        labels.extend([idx] * cnt)
-    seen = sorted(set(itertools.permutations(labels)))
-    return [[groups[i][0] for i in perm] for perm in seen]
+        h, d = _peel(d, m, limit)
+        factors = (h,) + factors
+    return Factorization(factors)
 
 
 def _factor_sort_key(f: Factorization):
@@ -226,10 +213,28 @@ def _dedupe_factorizations(fs: list[Factorization], tol: float = 1e-7) -> list[F
 
 
 def all_factorizations(c: MotionPolynomial) -> list[Factorization]:
-    """All factorizations reachable by permuting the norm quadratics."""
-    groups = _group_quadratics(quadratic_factors(c.norm.monic()))
-    found = [factor_generic(c, order) for order in _distinct_orders(groups)]
-    return _dedupe_factorizations(found)
+    """All factorizations reachable by permuting the norm quadratics.
+
+    Walks the orders depth first from the right, so orders sharing their last k
+    quadratics share their last k peels.  Dedupes only when a quadratic repeats.
+    """
+    if not c.is_monic():
+        raise ValueError("all_factorizations needs a monic motion polynomial")
+    groups = group_quadratics(quadratic_factors(c.norm.monic()))
+    limit = 1e-6 * (1.0 + c.poly.max_abs())
+    found: list[Factorization] = []
+
+    def walk(d: DQPoly, left: list[tuple[RealPoly, int]], suffix: tuple[DualQuaternion, ...]):
+        if not left:
+            found.append(Factorization(suffix))
+        for i, (m, _) in enumerate(left):
+            h, quot = _peel(d, m, limit)
+            walk(quot, _remaining_after(left, i), (h,) + suffix)
+
+    walk(c.poly, groups, ())
+    if any(cnt > 1 for _, cnt in groups):
+        return _dedupe_factorizations(found)
+    return sorted(found, key=_factor_sort_key)
 
 
 # ---------------------------------------------------------------------------
@@ -854,7 +859,7 @@ def factor_with_backtracking(
         _factor_planar(cm.poly, frame, state, st)
     else:
         ms = quadratic_factors(cm.norm.monic(), st.tol)
-        groups = _group_quadratics(ms)
+        groups = group_quadratics(ms)
         _dfs(cm.poly, groups, [], state, st)
     polished = [
         Factorization(_refine_factors(f.factors, cm.poly)) for f in state.results
@@ -920,7 +925,7 @@ def factor_bounded_with_multiplier(
     max_deg = int(w.degree) if max_deg is None else max_deg
     base_quads = []
     if w.degree >= 2:
-        base_quads = [q for q, _ in _group_quadratics(quadratic_factors(w.monic()))]
+        base_quads = [q for q, _ in group_quadratics(quadratic_factors(w.monic()))]
     candidates = _multiplier_candidates(base_quads, max(max_deg, 0))
     diagnostics.append(
         "candidate multipliers: " + "; ".join(str(list(r.coeffs)) for r in candidates)

@@ -17,6 +17,7 @@ from .config import DEFAULT_TOL
 from .dualquat import DQ_ONE, DualQuaternion, Quaternion
 from .errors import (
     NonInvertibleDivisorLeading,
+    NonFiniteCoefficient,
     NonInvertibleLeading,
     NonRealNorm,
     NotNonnegative,
@@ -267,7 +268,10 @@ class DQPoly:
 
     @staticmethod
     def from_json(data: dict) -> "DQPoly":
-        return DQPoly.of(data["coeffs"])
+        coeffs = data["coeffs"]
+        if not all(np.isfinite(np.asarray(v, dtype=float)).all() for v in coeffs):
+            raise ValueError("polynomial coefficients must be finite")
+        return DQPoly.of(coeffs)
 
 
 def poly_mul(a: DQPoly, b: DQPoly) -> DQPoly:
@@ -308,10 +312,12 @@ def right_divide(c: DQPoly, d: DQPoly, tol: float = DEFAULT_TOL) -> tuple[DQPoly
 def norm_poly(c: DQPoly, tol: float = DEFAULT_TOL) -> tuple[RealPoly, RealPoly]:
     """Real and dual scalar parts of c * conj(c).
 
-    The vector parts vanish identically in exact arithmetic and are asserted
+    The vector parts vanish identically in exact arithmetic and are checked
     to be negligible here; the dual scalar part is the Study defect of the
     curve and vanishes exactly when c is a motion polynomial.
     """
+    if not np.isfinite([co.as_array() for co in c.coeffs]).all():
+        raise NonFiniteCoefficient("polynomial has a NaN or infinite coefficient")
     prim = c.primal_components()
     dual = c.dual_components()
     re = RP_ZERO
@@ -324,7 +330,8 @@ def norm_poly(c: DQPoly, tol: float = DEFAULT_TOL) -> tuple[RealPoly, RealPoly]:
     worst = max(
         (full.component(i).max_abs() for i in (1, 2, 3, 5, 6, 7)), default=0.0
     )
-    assert worst <= tol * scale, "vector parts of the norm polynomial did not cancel"
+    if not worst <= tol * scale:
+        raise NonRealNorm(f"vector parts of the norm polynomial did not cancel ({worst:.3e})")
     return re, du
 
 
@@ -468,21 +475,14 @@ def _refine_quadratic_clusters(n: RealPoly, quads: list[RealPoly]) -> list[RealP
         c0 = sum(q.coeff(0) for q in cluster) / k
         bc = np.array([b0, c0])
         for _ in range(40):
-            m = RealPoly((bc[1], bc[0], 1.0))
-            mk = RP_ONE
-            for _ in range(k):
-                mk = mk * m
-            _, rem = n.divmod_by(mk)
+            rem = _rem_by_product(n, [RealPoly((bc[1], bc[0], 1.0))] * k)
             r = np.array([rem.coeff(i) for i in range(2 * k)])
             if np.max(np.abs(r)) <= 1e-14 * (1.0 + n.max_abs()):
                 break
             jac = np.zeros((2 * k, 2))
             for col, delta in enumerate((np.array([1e-7, 0.0]), np.array([0.0, 1e-7]))):
                 m2 = RealPoly((bc[1] + delta[1], bc[0] + delta[0], 1.0))
-                mk2 = RP_ONE
-                for _ in range(k):
-                    mk2 = mk2 * m2
-                _, rem2 = n.divmod_by(mk2)
+                rem2 = _rem_by_product(n, [m2] * k)
                 r2 = np.array([rem2.coeff(i) for i in range(2 * k)])
                 jac[:, col] = (r2 - r) / 1e-7
             step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
@@ -492,24 +492,33 @@ def _refine_quadratic_clusters(n: RealPoly, quads: list[RealPoly]) -> list[RealP
             if np.linalg.norm(step) < 1e-15:
                 break
         refined = RealPoly((bc[1], bc[0], 1.0))
-        mk = RP_ONE
-        for _ in range(k):
-            mk = mk * refined
-        _, rem = n.divmod_by(mk)
-        before = _cluster_residual(n, cluster)
-        if rem.max_abs() <= max(before, 1e-12 * (1.0 + n.max_abs())):
+        before = _rem_by_product(n, cluster).max_abs()
+        after = _rem_by_product(n, [refined] * k).max_abs()
+        if after <= max(before, 1e-12 * (1.0 + n.max_abs())):
             out.extend([refined] * k)
         else:
             out.extend(cluster)
     return out
 
 
-def _cluster_residual(n: RealPoly, cluster: list[RealPoly]) -> float:
+def _rem_by_product(n: RealPoly, quads: list[RealPoly]) -> RealPoly:
     prod = RP_ONE
-    for q in cluster:
+    for q in quads:
         prod = prod * q
-    _, rem = n.divmod_by(prod)
-    return rem.max_abs()
+    return n.divmod_by(prod)[1]
+
+
+def group_quadratics(ms: list[RealPoly], tol: float = 1e-7) -> list[tuple[RealPoly, int]]:
+    """Distinct quadratics of a multiset with their multiplicities, in first-seen order."""
+    groups: list[tuple[RealPoly, int]] = []
+    for m in ms:
+        for i, (rep, cnt) in enumerate(groups):
+            if (m - rep).max_abs() <= tol * (1.0 + rep.max_abs()):
+                groups[i] = (rep, cnt + 1)
+                break
+        else:
+            groups.append((m, 1))
+    return groups
 
 
 def _divides_all(polys: list[RealPoly], d: RealPoly, tol: float) -> list[RealPoly] | None:
@@ -535,17 +544,8 @@ def common_real_factor(polys: list[RealPoly], tol: float = 1e-7) -> RealPoly:
     for p in work:
         ssq = ssq + p * p
     ssq = ssq.monic()
-    quads = quadratic_factors(ssq)
-    groups: list[tuple[RealPoly, int]] = []
-    for q in quads:
-        for i, (rep, cnt) in enumerate(groups):
-            if (q - rep).max_abs() <= 1e-6 * (1.0 + rep.max_abs()):
-                groups[i] = (rep, cnt + 1)
-                break
-        else:
-            groups.append((q, 1))
     g = RP_ONE
-    for quad, mult in groups:
+    for quad, mult in group_quadratics(quadratic_factors(ssq), 1e-6):
         b, c0 = quad.coeff(1), quad.coeff(0)
         disc = b * b - 4.0 * c0
         if disc > -_IM_TOL * (1.0 + abs(c0)):

@@ -64,6 +64,19 @@ class TestValidate:
 
 
 class TestFactor:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("slot", [(0, 6), (1, 0)])
+    def test_non_finite_coefficient_exits_two(self, tmp_path, capsys, bad, slot):
+        coeffs = [[0, 1, 0, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0, 0]]
+        coeffs[slot[0]][slot[1]] = bad
+        path = write_json(tmp_path / "nan.json", {"coeffs": coeffs})
+        with pytest.raises(SystemExit) as err:
+            main(["factor", path, "--all"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert "malformed polynomial file" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+
     def test_generic_quadratic_all(self, tmp_path, capsys, rng):
         c, _ = random_generic_motion(rng, 2)
         path = write_json(tmp_path / "c.json", c.poly.to_json())
@@ -128,6 +141,14 @@ class TestSynth3:
         assert code == 1
         assert json.loads(out)["error"] == "NotOnStudyQuadric"
 
+    @pytest.mark.parametrize("row", [[float("nan")] + [0.0] * 7, [1.0] * 7])
+    def test_malformed_pose_exits_two(self, tmp_path, capsys, rng, row):
+        poses = [list(p.as_array()) for p in general_position_poses(rng)]
+        poses[2] = row
+        path = write_json(tmp_path / "p.json", poses)
+        assert main(["synth3", str(path)]) == 2
+        assert "malformed poses file" in capsys.readouterr().err
+
 
 class TestCurve:
     def test_ellipse_pipeline(self, tmp_path, capsys):
@@ -147,6 +168,14 @@ class TestCurve:
             assert os.path.exists(f)
         linkage = import_linkage(json.loads((out_dir / "linkage.json").read_text()))
         assert linkage.tracer is not None
+
+    def test_non_finite_curve_exits_two(self, tmp_path, capsys):
+        path = write_json(tmp_path / "curve.json", {
+            "v": [[-4.0], [0.0, float("nan")], [0.0]],
+            "w": [1.0, 0.0, 1.0],
+        })
+        assert main(["curve", str(path)]) == 2
+        assert "malformed curve file" in capsys.readouterr().err
 
     def test_unbounded_curve_fails(self, tmp_path, capsys):
         path = write_json(tmp_path / "curve.json", {

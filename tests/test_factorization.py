@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from motionfactor.dualquat import (
@@ -11,11 +13,19 @@ from motionfactor.dualquat import (
     Rotation,
     classify_generator,
 )
-from motionfactor.errors import ConstantRemainder, NonInvertibleLeading, Unbounded
+from motionfactor import factorization
+from motionfactor.errors import (
+    ConstantRemainder,
+    NonInvertibleLeading,
+    NumericalConditionWarning,
+    Unbounded,
+)
 from motionfactor.factorization import (
     SUCCESS,
     Factorization,
     SearchSettings,
+    _dedupe_factorizations,
+    _factor_sort_key,
     all_factorizations,
     factor_bounded_with_multiplier,
     factor_generic,
@@ -25,9 +35,38 @@ from motionfactor.factorization import (
     linear_zero,
     right_multiply_and_factor,
 )
-from motionfactor.polyring import DQPoly, RealPoly, quadratic_factors, validate_motion
+from motionfactor.polyring import (
+    DQPoly,
+    RealPoly,
+    group_quadratics,
+    quadratic_factors,
+    validate_motion,
+)
 
-from conftest import dq, norm_quadratic, product_of, random_generic_motion
+from conftest import (
+    dq,
+    norm_quadratic,
+    product_of,
+    random_generic_motion,
+    random_rotation_generator,
+)
+
+
+def per_order_peel(c):
+    """Reference enumeration: one independent factor_generic per distinct order."""
+    groups = group_quadratics(quadratic_factors(c.norm.monic()))
+    labels = [i for i, (_, cnt) in enumerate(groups) for _ in range(cnt)]
+    orders = sorted(set(itertools.permutations(labels)))
+    return [factor_generic(c, [groups[i][0] for i in order]) for order in orders]
+
+
+def assert_same_factorizations(got, want, c):
+    tol = 1e-12 * (1.0 + c.poly.max_abs())
+    assert len(got) == len(want)
+    for f, g in zip(got, want):
+        assert len(f.factors) == len(g.factors)
+        for a, b in zip(f.factors, g.factors):
+            assert (a - b).max_abs() <= tol
 
 
 class TestLinearZero:
@@ -92,6 +131,40 @@ class TestAllFactorizations:
             c = validate_motion(product_of([DualQuaternion(QI), DualQuaternion(QI)]))
             fs = all_factorizations(c)
         assert len(fs) == 1
+
+    @pytest.mark.parametrize("degree", [2, 3, 4, 5])
+    def test_matches_per_order_peel(self, rng, degree):
+        for _ in range(3 if degree < 5 else 1):
+            c, _ = random_generic_motion(rng, degree)
+            want = sorted(per_order_peel(c), key=_factor_sort_key)
+            assert len(want) == len(set(itertools.permutations(range(degree))))
+            assert_same_factorizations(all_factorizations(c), want, c)
+
+    def test_repeated_quadratic_matches_deduped_peel(self, rng):
+        h = random_rotation_generator(rng)
+        with pytest.warns(NumericalConditionWarning):
+            c = validate_motion(product_of([DualQuaternion(QI), DualQuaternion(QI), h]))
+            got = all_factorizations(c)
+            want = _dedupe_factorizations(per_order_peel(c))
+        assert len(got) == 3
+        assert_same_factorizations(got, want, c)
+        for f in got:
+            assert f.residual_against(c.poly) < 1e-8
+
+    def test_shared_suffix_divisions(self, rng, monkeypatch):
+        c, _ = random_generic_motion(rng, 4)
+        calls = []
+        divide = factorization.right_divide
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return divide(*args, **kwargs)
+
+        monkeypatch.setattr(factorization, "right_divide", counting)
+        assert len(all_factorizations(c)) == 24
+        # 4 + 12 + 24 + 24 peels of two divisions each; one peel per order
+        # and factor would take 4 * 24 * 2 = 192
+        assert len(calls) <= 2 * 64
 
     def test_norm_bookkeeping(self, rng):
         c, _ = random_generic_motion(rng, 3)

@@ -3,6 +3,8 @@ import pytest
 
 from motionfactor.dualquat import DQ_ONE, DualQuaternion, Q_ONE, QI, QJ, QK, Quaternion
 from motionfactor.errors import (
+    MotionFactorError,
+    NonFiniteCoefficient,
     NonInvertibleDivisorLeading,
     NonInvertibleLeading,
     NonRealNorm,
@@ -128,6 +130,16 @@ class TestValidateMotion:
     def test_zero_norm(self):
         with pytest.raises(ZeroNorm):
             validate_motion(DQPoly.of([DualQuaternion(Quaternion(), QI)]))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("k,i", [(0, 0), (0, 6), (1, 3), (2, 7)])
+    def test_non_finite_coefficient(self, bad, k, i):
+        rows = [DualQuaternion(QI).as_array(), DualQuaternion(QJ).as_array(), DQ_ONE.as_array()]
+        rows[k][i] = bad
+        c = DQPoly(tuple(DualQuaternion.from_array(r) for r in rows))
+        with pytest.raises(NonFiniteCoefficient) as err:
+            validate_motion(c)
+        assert isinstance(err.value, MotionFactorError)
 
 
 class TestRightDivision:
