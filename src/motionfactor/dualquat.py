@@ -21,6 +21,21 @@ from .errors import (
 )
 
 
+def _max_or_nan(values) -> float:
+    """Largest of some nonnegative values, 0 for none, NaN when any is NaN.
+
+    The builtin max keeps a NaN only when it comes first, which would let a
+    NaN coefficient pass every tolerance check built on max_abs.
+    """
+    out = 0.0
+    for v in values:
+        if not v <= out:
+            if v != v:
+                return v
+            out = v
+    return out
+
+
 @dataclass(frozen=True, slots=True)
 class DualNumber:
     """Number re + eps*du with eps**2 = 0."""
@@ -100,7 +115,7 @@ class Quaternion:
         return self.conj() * (1.0 / n)
 
     def max_abs(self) -> float:
-        return max(abs(self.w), abs(self.x), abs(self.y), abs(self.z))
+        return _max_or_nan((abs(self.w), abs(self.x), abs(self.y), abs(self.z)))
 
     def is_zero(self, tol: float = DEFAULT_TOL) -> bool:
         return self.max_abs() <= tol
@@ -173,7 +188,7 @@ class DualQuaternion:
         return DualQuaternion(pinv, -(pinv * self.dual * pinv))
 
     def max_abs(self) -> float:
-        return max(self.primal.max_abs(), self.dual.max_abs())
+        return _max_or_nan((self.primal.max_abs(), self.dual.max_abs()))
 
     def is_zero(self, tol: float = DEFAULT_TOL) -> bool:
         return self.max_abs() <= tol
@@ -191,6 +206,34 @@ class DualQuaternion:
 
 DQ_ZERO = DualQuaternion()
 DQ_ONE = DualQuaternion(Q_ONE)
+
+# Structure constants of the ring on coordinates (primal w, x, y, z, dual w, x,
+# y, z): (a*b)[k] = sum over i, j of a[i] * b[j] * DQ_STRUCTURE[i, j, k].  Built
+# from DualQuaternion.__mul__, so the multiplication table has one source.
+DQ_STRUCTURE = np.array([
+    [(DualQuaternion.from_array(a) * DualQuaternion.from_array(b)).as_array() for b in np.eye(8)]
+    for a in np.eye(8)
+])
+_STRUCTURE_ROWS = DQ_STRUCTURE.reshape(8, 64)
+
+
+def dq_mul_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products a*b of dual quaternions stored as (..., 8) float arrays."""
+    left = (a @ _STRUCTURE_ROWS).reshape(*a.shape[:-1], 8, 8)
+    return (b[..., None, :] @ left)[..., 0, :]
+
+
+def dq_inverse_array(a: np.ndarray) -> np.ndarray:
+    """Inverses p^-1 - eps*p^-1*q*p^-1 of (..., 8) dual quaternions.
+
+    The primal parts must be invertible; callers check their norms first.
+    """
+    pinv = np.zeros_like(a)
+    pinv[..., :4] = a[..., :4] * np.array([1.0, -1.0, -1.0, -1.0])
+    pinv /= np.sum(a[..., :4] ** 2, axis=-1, keepdims=True)
+    dual = np.zeros_like(a)
+    dual[..., 4:] = a[..., 4:]
+    return pinv - dq_mul_array(dq_mul_array(pinv, dual), pinv)
 
 
 def quat_mul(a: Quaternion, b: Quaternion) -> Quaternion:

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .config import DEFAULT_BUDGET, DEFAULT_FAMILY_SAMPLES, DEFAULT_TOL
 from .dualquat import (
@@ -24,6 +23,8 @@ from .dualquat import (
     Quaternion,
     Rotation,
     classify_generator,
+    dq_inverse_array,
+    dq_mul_array,
 )
 from .errors import (
     ConstantRemainder,
@@ -44,6 +45,22 @@ from .polyring import (
     right_divide,
     validate_motion,
 )
+
+
+def __getattr__(name: str):
+    # scipy.optimize takes most of the package's import time, and only the
+    # spatial family search and the final polish call it: load it on first use
+    if name == "least_squares":
+        from scipy.optimize import least_squares
+        globals()["least_squares"] = least_squares
+        return least_squares
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _least_squares():
+    """scipy's least_squares, looked up through this module's global on each call."""
+    return globals().get("least_squares") or __getattr__("least_squares")
+
 
 SUCCESS = "success"
 NO_FACTORIZATION = "no_factorization"
@@ -164,18 +181,49 @@ def _quadratic_of(h: DualQuaternion) -> RealPoly:
     return RealPoly((h.primal.norm(), -2.0 * h.primal.scalar(), 1.0))
 
 
-def _peel(d: DQPoly, m: RealPoly, limit: float) -> tuple[DualQuaternion, DQPoly]:
-    """Right factor t - h of d with norm quadratic m, and the quotient by it."""
-    _, r = right_divide(d, DQPoly.from_real(m))
-    h = linear_zero(r)
-    quot, rem = right_divide(d, DQPoly.t_minus(h))
-    if rem.max_abs() > limit:
+def _peel_level(d: np.ndarray, m: np.ndarray, limit: float,
+                tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Right factor t - h and quotient for every row of a batch of polynomials.
+
+    Row i of d holds the ascending dual quaternion coefficients of one
+    polynomial, shape (N, L+1, 8); row i of m holds (m0, m1) of the monic norm
+    quadratic t**2 + m1*t + m0 to pull from its right, shape (N, 2).  Returns
+    the zeros h, shape (N, 8), and the quotients, shape (N, L, 8).  Applies the
+    checks of linear_zero and of the division by t - h to every row; each
+    bound is written so that a NaN fails it.
+    """
+    # m is real, hence central: reduce each of the 8 components modulo m
+    r = np.zeros((len(d), max(d.shape[1], 2), 8))
+    r[:, :d.shape[1]] = d
+    for k in range(r.shape[1] - 1, 1, -1):
+        r[:, k - 1] -= m[:, 1:2] * r[:, k]
+        r[:, k - 2] -= m[:, 0:1] * r[:, k]
+    r0, r1 = r[:, 0], r[:, 1]
+    r1_size = np.max(np.abs(r1), axis=1)
+    scale = 1.0 + np.maximum(np.max(np.abs(r0), axis=1), r1_size)
+    if not np.all(r1_size > tol * scale):
+        raise ConstantRemainder("remainder is constant, no linear zero exists")
+    if not np.all(np.sum(r1[:, :4] ** 2, axis=1) > tol * scale * scale):
+        raise NonInvertibleLeading("leading coefficient of the remainder is not invertible")
+    h = -dq_mul_array(dq_inverse_array(r1), r0)
+    # synthetic right division by t - h: q_(k-1) = d_k + q_k * h
+    deg = d.shape[1] - 1
+    quot = np.empty((len(d), deg, 8))
+    acc = d[:, deg]
+    for k in range(deg - 1, -1, -1):
+        quot[:, k] = acc
+        acc = d[:, k] + dq_mul_array(acc, h)
+    if not np.all(np.max(np.abs(acc), axis=1) <= limit):
         raise ExceptionalCase("division by the computed linear factor left a remainder")
     return h, quot
 
 
+def _to_factorization(hs: list[list[float]]) -> Factorization:
+    return Factorization(tuple(DualQuaternion(Quaternion(*h[:4]), Quaternion(*h[4:])) for h in hs))
+
+
 def factor_generic(c: MotionPolynomial, order: list[RealPoly] | None = None) -> Factorization:
-    """Peel linear factors following the given order of norm quadratics.
+    """Peel linear factors following the given order of monic norm quadratics.
 
     Each chosen quadratic is pulled from the right of the remaining quotient.
     The input must be monic; exceptional remainders raise ExceptionalCase.
@@ -185,11 +233,11 @@ def factor_generic(c: MotionPolynomial, order: list[RealPoly] | None = None) -> 
     if order is None:
         order = quadratic_factors(c.norm.monic())
     limit = 1e-6 * (1.0 + c.poly.max_abs())
-    d, factors = c.poly, ()
+    d, factors = np.array([[h.as_array() for h in c.poly.coeffs]]), []
     for m in order:
-        h, d = _peel(d, m, limit)
-        factors = (h,) + factors
-    return Factorization(factors)
+        h, d = _peel_level(d, np.array([[m.coeff(0), m.coeff(1)]]), limit)
+        factors.insert(0, h[0].tolist())
+    return _to_factorization(factors)
 
 
 def _factor_sort_key(f: Factorization):
@@ -215,26 +263,34 @@ def _dedupe_factorizations(fs: list[Factorization], tol: float = 1e-7) -> list[F
 def all_factorizations(c: MotionPolynomial) -> list[Factorization]:
     """All factorizations reachable by permuting the norm quadratics.
 
-    Walks the orders depth first from the right, so orders sharing their last k
-    quadratics share their last k peels.  Dedupes only when a quadratic repeats.
+    The orders form one tree, walked from the right one level at a time:
+    every node of depth k is a row of an (N, deg+1-k, 8) coefficient array,
+    and each level expands every row by each distinct quadratic it has left,
+    peeling all children in one batched call.  Orders sharing their last k
+    quadratics thus share their last k peels.  Factorizations are sorted by
+    their factors rounded to 9 digits; they are deduped only when a
+    quadratic repeats.
     """
     if not c.is_monic():
         raise ValueError("all_factorizations needs a monic motion polynomial")
     groups = group_quadratics(quadratic_factors(c.norm.monic()))
+    quads = np.array([(m.coeff(0), m.coeff(1)) for m, _ in groups])
     limit = 1e-6 * (1.0 + c.poly.max_abs())
-    found: list[Factorization] = []
-
-    def walk(d: DQPoly, left: list[tuple[RealPoly, int]], suffix: tuple[DualQuaternion, ...]):
-        if not left:
-            found.append(Factorization(suffix))
-        for i, (m, _) in enumerate(left):
-            h, quot = _peel(d, m, limit)
-            walk(quot, _remaining_after(left, i), (h,) + suffix)
-
-    walk(c.poly, groups, ())
+    d = np.array([[h.as_array() for h in c.poly.coeffs]])
+    left = np.array([[cnt for _, cnt in groups]], dtype=int)
+    hs = np.zeros((1, 0, 8))
+    while left.any():
+        # row-major order keeps the leaves in depth first order of the tree
+        rows, quad = np.nonzero(left)
+        h, d = _peel_level(d[rows], quads[quad], limit)
+        hs = np.concatenate([h[:, None], hs[rows]], axis=1)
+        left = left[rows]
+        left[np.arange(len(rows)), quad] -= 1
     if any(cnt > 1 for _, cnt in groups):
-        return _dedupe_factorizations(found)
-    return sorted(found, key=_factor_sort_key)
+        return _dedupe_factorizations([_to_factorization(f) for f in hs.tolist()])
+    if len(hs) > 1:
+        hs = hs[np.lexsort(np.round(hs, 9).reshape(len(hs), -1).T[::-1])]
+    return [_to_factorization(f) for f in hs.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +593,7 @@ def _family_candidates(
             # count against the node budget as well
             if state is not None and not state.spend():
                 return candidates
-            res = least_squares(objective, lam0, xtol=3e-16, ftol=3e-16, gtol=None, max_nfev=120)
+            res = _least_squares()(objective, lam0, xtol=3e-16, ftol=3e-16, gtol=None, max_nfev=120)
             if float(np.linalg.norm(res.fun)) <= 1e-9:
                 candidates.append(fam.at(res.x))
                 found += 1
@@ -823,7 +879,7 @@ def _refine_factors(factors: tuple[DualQuaternion, ...], target: DQPoly) -> tupl
     before = float(np.linalg.norm(resid(x0)))
     if before <= 1e-12:
         return factors
-    res = least_squares(resid, x0, xtol=3e-16, ftol=3e-16, gtol=None, max_nfev=80)
+    res = _least_squares()(resid, x0, xtol=3e-16, ftol=3e-16, gtol=None, max_nfev=80)
     if float(np.linalg.norm(res.fun)) >= before:
         return factors
     return tuple(DualQuaternion.from_array(res.x[8 * i: 8 * i + 8]) for i in range(k))

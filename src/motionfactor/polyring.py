@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOL
-from .dualquat import DQ_ONE, DualQuaternion, Quaternion
+from .dualquat import DQ_ONE, DualQuaternion, Quaternion, _max_or_nan
 from .errors import (
     NonInvertibleDivisorLeading,
     NonFiniteCoefficient,
@@ -120,7 +120,7 @@ class RealPoly:
         return RealPoly.of(q, tol), RealPoly.of(r[: nd - 1], tol)
 
     def max_abs(self) -> float:
-        return max((abs(c) for c in self.coeffs), default=0.0)
+        return _max_or_nan(abs(c) for c in self.coeffs)
 
     def as_array(self) -> np.ndarray:
         return np.array(self.coeffs if self.coeffs else (0.0,))
@@ -261,7 +261,7 @@ class DQPoly:
         return acc
 
     def max_abs(self) -> float:
-        return max((c.max_abs() for c in self.coeffs), default=0.0)
+        return _max_or_nan(c.max_abs() for c in self.coeffs)
 
     def to_json(self) -> dict:
         return {"coeffs": [list(c.as_array()) for c in self.coeffs]}

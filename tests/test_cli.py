@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -218,3 +220,18 @@ class TestCurve:
             assert code == 0
             outputs.append((out_dir / "linkage.json").read_text())
         assert outputs[0] == outputs[1]
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    code = (
+        "import sys\n"
+        "import motionfactor.cli\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+        "from motionfactor import factorization\n"
+        "import scipy.optimize\n"
+        "assert factorization.least_squares is scipy.optimize.least_squares\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

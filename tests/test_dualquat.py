@@ -13,7 +13,9 @@ from motionfactor.dualquat import (
     Translation,
     act_on_point,
     classify_generator,
+    dq_inverse_array,
     dq_mul,
+    dq_mul_array,
     dq_norm,
     normalize_pose,
     pose_distance,
@@ -98,6 +100,35 @@ class TestDualQuaternion:
     def test_inverse(self, rng):
         h = dq(*rng.normal(size=8))
         assert (h * h.inverse() - DQ_ONE).is_zero(1e-9)
+
+    @pytest.mark.parametrize("slot", range(8))
+    def test_max_abs_keeps_nan(self, slot):
+        coords = [0.0] * 8
+        coords[slot] = float("nan")
+        h = dq(*coords)
+        assert np.isnan(h.max_abs())
+        assert np.isnan(h.primal.max_abs() if slot < 4 else h.dual.max_abs())
+        assert not h.is_zero()
+
+    def test_max_abs_of_infinity(self):
+        assert dq(0.0, 1.0, float("-inf")).max_abs() == float("inf")
+
+
+class TestArrayKernel:
+    def test_product_matches_dataclass(self, rng):
+        a = rng.normal(size=(5, 3, 8))
+        b = rng.normal(size=(5, 3, 8))
+        got = dq_mul_array(a, b)
+        assert got.shape == (5, 3, 8)
+        for x, y, z in zip(a.reshape(-1, 8), b.reshape(-1, 8), got.reshape(-1, 8)):
+            want = (DualQuaternion.from_array(x) * DualQuaternion.from_array(y)).as_array()
+            assert np.max(np.abs(z - want)) <= 1e-14 * (1 + np.max(np.abs(want)))
+
+    def test_inverse_matches_dataclass(self, rng):
+        a = rng.normal(size=(7, 8))
+        for x, z in zip(a, dq_inverse_array(a)):
+            want = DualQuaternion.from_array(x).inverse().as_array()
+            assert np.max(np.abs(z - want)) <= 1e-12 * (1 + np.max(np.abs(want)))
 
 
 class TestAction:

@@ -16,6 +16,7 @@ from motionfactor.dualquat import (
 from motionfactor import factorization
 from motionfactor.errors import (
     ConstantRemainder,
+    MotionFactorError,
     NonInvertibleLeading,
     NumericalConditionWarning,
     Unbounded,
@@ -37,6 +38,7 @@ from motionfactor.factorization import (
 )
 from motionfactor.polyring import (
     DQPoly,
+    MotionPolynomial,
     RealPoly,
     group_quadratics,
     quadratic_factors,
@@ -132,7 +134,7 @@ class TestAllFactorizations:
             fs = all_factorizations(c)
         assert len(fs) == 1
 
-    @pytest.mark.parametrize("degree", [2, 3, 4, 5])
+    @pytest.mark.parametrize("degree", [2, 3, 4, 5, 6])
     def test_matches_per_order_peel(self, rng, degree):
         for _ in range(3 if degree < 5 else 1):
             c, _ = random_generic_motion(rng, degree)
@@ -165,6 +167,28 @@ class TestAllFactorizations:
         # 4 + 12 + 24 + 24 peels of two divisions each; one peel per order
         # and factor would take 4 * 24 * 2 = 192
         assert len(calls) <= 2 * 64
+
+    def test_level_batched_peels(self, rng, monkeypatch):
+        c, _ = random_generic_motion(rng, 4)
+        rows = []
+        peel = factorization._peel_level
+
+        def counting(d, m, *args, **kwargs):
+            rows.append(len(d))
+            return peel(d, m, *args, **kwargs)
+
+        monkeypatch.setattr(factorization, "_peel_level", counting)
+        assert len(all_factorizations(c)) == 24
+        # one call per tree level; 64 peels where one per order and factor is 96
+        assert rows == [4, 12, 24, 24]
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_nan_coefficient_raises(self, rng, k):
+        c, _ = random_generic_motion(rng, 3)
+        coeffs = list(c.poly.coeffs)
+        coeffs[k] = coeffs[k] + dq(0.0, 0.0, float("nan"))
+        with pytest.raises(MotionFactorError):
+            all_factorizations(MotionPolynomial(DQPoly(tuple(coeffs)), c.norm))
 
     def test_norm_bookkeeping(self, rng):
         c, _ = random_generic_motion(rng, 3)

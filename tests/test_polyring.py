@@ -56,8 +56,17 @@ class TestRealPoly:
         with pytest.raises(ZeroDivisionError):
             rp(1.0).divmod_by(RealPoly())
 
+    def test_max_abs_keeps_nan(self):
+        assert np.isnan(RealPoly((1.0, float("nan"), 2.0)).max_abs())
+        assert RealPoly().max_abs() == 0.0
+
 
 class TestDQPolyArithmetic:
+    def test_max_abs_keeps_nan(self):
+        p = DQPoly((DQ_ONE, dq(0.0, 2.0, 0.0, 0.0, 0.0, float("nan")), DQ_ONE))
+        assert np.isnan(p.max_abs())
+        assert DQPoly().max_abs() == 0.0
+
     def test_square_of_t_minus_i(self):
         c = DQPoly.t_minus(DualQuaternion(QI)) * DQPoly.t_minus(DualQuaternion(QI))
         want = DQPoly.of([DualQuaternion(Quaternion(-1)), DualQuaternion(QI * -2.0), DQ_ONE])
