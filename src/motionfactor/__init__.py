@@ -61,12 +61,14 @@ from .synthesis import (
 )
 from .linkage import (
     ConfigurationSample,
+    Configurations,
     Joint,
     Link,
     LinkGraph,
     Linkage,
     assemble,
     export,
+    forward_kinematics,
     import_linkage,
     rigidity_check,
     sample_configuration,

@@ -33,21 +33,21 @@ CONFIG_ENV = "MOTIONFACTOR_CONFIG"
 
 
 def _load_config(args) -> Config:
-    base = {}
     path = os.environ.get(CONFIG_ENV)
-    if path:
-        with open(path) as fh:
-            base = json.load(fh)
-    cfg = Config(
-        tolerance=args.tol if args.tol is not None else base.get("tolerance", Config.tolerance),
-        backtrack_budget=args.budget if args.budget is not None else base.get(
-            "backtrack_budget", Config.backtrack_budget),
-        family_samples=base.get("family_samples", Config.family_samples),
-        sample_count=args.samples if args.samples is not None else base.get(
-            "sample_count", Config.sample_count),
-        seed=args.seed if args.seed is not None else base.get("seed", Config.seed),
-    )
-    return cfg
+    base = _read_json(path) if path else {}
+    try:
+        return Config(
+            tolerance=args.tol if args.tol is not None else base.get("tolerance", Config.tolerance),
+            backtrack_budget=args.budget if args.budget is not None else base.get(
+                "backtrack_budget", Config.backtrack_budget),
+            family_samples=base.get("family_samples", Config.family_samples),
+            sample_count=args.samples if args.samples is not None else base.get(
+                "sample_count", Config.sample_count),
+            seed=args.seed if args.seed is not None else base.get("seed", Config.seed),
+        )
+    except (AttributeError, TypeError, ValueError) as exc:  # AttributeError: file is not an object
+        print(f"error: bad configuration: {exc}", file=sys.stderr)
+        raise SystemExit(2)
 
 
 def _settings(cfg: Config) -> SearchSettings:

@@ -21,12 +21,13 @@ class Config:
     tolerance: float = DEFAULT_TOL
     backtrack_budget: int = DEFAULT_BUDGET
     family_samples: int = DEFAULT_FAMILY_SAMPLES
-    sample_range: tuple[float, float] = DEFAULT_SAMPLE_RANGE
     sample_count: int = DEFAULT_SAMPLE_COUNT
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:  # also rejects NaN
             raise ValueError("tolerance must be positive")
         if self.backtrack_budget <= 0:
             raise ValueError("backtrack budget must be positive")
+        if self.sample_count < 1:
+            raise ValueError("sample count must be at least 1")

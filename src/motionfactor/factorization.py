@@ -40,6 +40,7 @@ from .polyring import (
     RealPoly,
     group_quadratics,
     max_real_factor,
+    norm_quadratic,
     quadratic_factors,
     real_roots_complex,
     right_divide,
@@ -174,11 +175,6 @@ def linear_zero(r: DQPoly, tol: float = DEFAULT_TOL) -> DualQuaternion:
     if r1.primal.norm() <= tol * scale * scale:
         raise NonInvertibleLeading("leading coefficient of the remainder is not invertible")
     return -(r1.inverse() * r.coeff(0))
-
-
-def _quadratic_of(h: DualQuaternion) -> RealPoly:
-    """Monic real quadratic satisfied by a motion generator h."""
-    return RealPoly((h.primal.norm(), -2.0 * h.primal.scalar(), 1.0))
 
 
 def _peel_level(d: np.ndarray, m: np.ndarray, limit: float,
@@ -467,7 +463,7 @@ def _probe_residual(quot: DQPoly, m: RealPoly, tol: float) -> np.ndarray:
     n = m.coeff(0)
     if quot.degree <= 1:
         h = -quot.coeff(0)
-        quad = _quadratic_of(h)
+        quad = norm_quadratic(h)
         return np.array([
             h.dual.scalar(),
             h.primal.dot(h.dual),

@@ -17,17 +17,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import DEFAULT_SAMPLE_COUNT, DEFAULT_SAMPLE_RANGE, DEFAULT_TOL
-from .dualquat import (
-    DQ_ONE,
-    DualQuaternion,
-    Rotation,
-    act_on_point,
-    classify_generator,
-    normalize_pose,
-    pose_distance,
+from .dualquat import DQ_ONE, DualQuaternion, Rotation, classify_generator, dq_mul_array
+from .errors import (
+    ClosureMismatch,
+    ExceptionalPoint,
+    NotInGroup,
+    NotOnStudyQuadric,
+    NotPlanar,
+    SingularParameter,
 )
-from .errors import ClosureMismatch, NotPlanar, SingularParameter
-from .polyring import DQPoly, RealPoly
+from .polyring import DQPoly, RealPoly, norm_quadratic
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,11 +87,7 @@ class Linkage:
         return replace(self, notes=self.notes + notes)
 
     def norm_quadratics(self) -> list[RealPoly]:
-        out = []
-        for j in self.graph.joints:
-            h = j.generator
-            out.append(RealPoly((h.primal.norm(), -2.0 * h.primal.scalar(), 1.0)))
-        return out
+        return [norm_quadratic(j.generator) for j in self.graph.joints]
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,108 +228,172 @@ def assemble(loops, ground: str | None = None, tracer=None, tol: float = DEFAULT
     return Linkage(LinkGraph(links, joints), loops_t, ground_id, orientations, tracer_t)
 
 
-def _guard_parameter(linkage: Linkage, t0: float, margin: float = 1e-3) -> None:
-    if math.isinf(t0):
-        return
-    for quad in linkage.norm_quadratics():
-        if abs(quad(t0)) < margin * (1.0 + t0 * t0):
-            raise SingularParameter(f"t = {t0} is within {margin} of a norm polynomial root")
+_SINGULAR_MARGIN = 1e-3  # relative distance of a sample from a norm quadratic root
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0, 1.0, -1.0, -1.0, -1.0])
+_EPS_CONJ = np.array([1.0, -1.0, -1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
 
 
-def _displacements(linkage: Linkage, t0: float) -> dict[str, DualQuaternion]:
-    evals = {
-        j.id: DQPoly.t_minus(j.generator).eval_at(t0) for j in linkage.graph.joints
-    }
-    neighbors: dict[str, list[tuple[str, str, bool]]] = {l.id: [] for l in linkage.graph.links}
-    for jid, a, b in linkage.orientations:
-        neighbors[a].append((b, jid, True))
-        neighbors[b].append((a, jid, False))
-    disp: dict[str, DualQuaternion] = {linkage.ground: DQ_ONE}
-    stack = [linkage.ground]
-    while stack:
-        cur = stack.pop()
-        for nxt, jid, forward in neighbors[cur]:
-            if nxt in disp:
-                continue
-            g = evals[jid]
-            disp[nxt] = disp[cur] * (g if forward else g.conj())
-            stack.append(nxt)
-    return disp
+@dataclass(frozen=True, eq=False)
+class Configurations:
+    """Forward kinematics at S parameter values, one row per sample."""
+
+    t: np.ndarray                               # (S,)
+    link_displacements: dict[str, np.ndarray]   # link id -> (S, 8) canonical poses
+    joint_positions: dict[str, np.ndarray]      # joint id -> (S, 3) world anchor points
+    loop_residuals: np.ndarray                  # (S,) worst loop residual
+
+
+def _act_rows(h: np.ndarray, points) -> np.ndarray:
+    """Point action of (S, 8) displacements on points of shape (3,) or (S, 3).
+
+    The dual part of h*(1 - eps*x)*(conj(p) - eps*conj(q)) is
+    -(p*x*conj(p) + p*conj(q) - q*conj(p)), the numerator of act_on_point.
+    """
+    x = np.zeros_like(h)
+    x[:, 0] = 1.0
+    x[:, 5:] = -np.asarray(points, dtype=float)
+    moved = dq_mul_array(dq_mul_array(h, x), h * _EPS_CONJ)
+    return -moved[:, 5:] / moved[:, :1]
+
+
+def _canonical_rows(h: np.ndarray, t: np.ndarray, fails: list) -> np.ndarray:
+    """normalize_pose at 1e-6 on every row; failing rows are recorded in fails, not raised."""
+    pn = np.sum(h[:, :4] ** 2, axis=1)
+    scale = 1.0 + pn + np.sum(h[:, 4:] ** 2, axis=1)
+    defect = 2.0 * np.sum(h[:, :4] * h[:, 4:], axis=1)
+    fails.append((~(pn > 1e-6 * scale), lambda s: ExceptionalPoint(
+        f"primal part vanishes at t = {t[s]}, point lies in the exceptional 3-space")))
+    fails.append((~(np.abs(defect) <= 1e-6 * scale), lambda s: NotOnStudyQuadric(
+        f"Study defect {defect[s]:.3e} exceeds tolerance at t = {t[s]}")))
+    rep = h * (1.0 / np.sqrt(pn))[:, None]
+    lead = rep[np.arange(len(rep)), np.argmax(np.abs(rep[:, :4]), axis=1)]
+    rep[lead < 0.0] *= -1.0
+    return rep
+
+
+def _raise_first(fails: list) -> None:
+    """Raise for the first failing sample, with the first check it fails."""
+    bad = np.array([mask for mask, _ in fails])
+    hit = np.flatnonzero(bad.any(axis=0))
+    if hit.size:
+        s = int(hit[0])
+        raise fails[int(np.argmax(bad[:, s]))][1](s)
+
+
+def forward_kinematics(linkage: Linkage, t_samples) -> Configurations:
+    """Forward kinematics at every sample parameter in one array pass.
+
+    Each joint evaluates to t - h (the identity at t = +-inf), each link
+    displacement is the product along the spanning tree from the ground, and
+    each loop residual is the pose distance of its two chain products.  A
+    parameter within 1e-3*(1 + t^2) of a norm quadratic root, or NaN, raises
+    SingularParameter; a displacement off the Study quadric or outside the
+    group raises as normalize_pose and act_on_point do at 1e-6.  With several
+    failing samples, the first one in order is reported.
+    """
+    t = np.asarray(t_samples, dtype=float).reshape(-1)
+    home = np.isinf(t)
+    fails: list = []
+    with np.errstate(all="ignore"):
+        fails.append((~home & _near_root(linkage, t, _SINGULAR_MARGIN), lambda s: SingularParameter(
+            f"t = {t[s]} is not a number" if math.isnan(t[s])
+            else f"t = {t[s]} is within {_SINGULAR_MARGIN} of a norm polynomial root")))
+        evals = {}
+        for j in linkage.graph.joints:
+            g = np.multiply.outer(t, DQ_ONE.as_array()) - j.generator.as_array()
+            g[home] = DQ_ONE.as_array()
+            evals[j.id] = g
+
+        neighbors: dict[str, list[tuple[str, str, bool]]] = {l.id: [] for l in linkage.graph.links}
+        for jid, a, b in linkage.orientations:
+            neighbors[a].append((b, jid, True))
+            neighbors[b].append((a, jid, False))
+        raw = {linkage.ground: np.tile(DQ_ONE.as_array(), (len(t), 1))}
+        stack = [linkage.ground]
+        while stack:
+            cur = stack.pop()
+            for nxt, jid, forward in neighbors[cur]:
+                if nxt not in raw:
+                    g = evals[jid]
+                    raw[nxt] = dq_mul_array(raw[cur], g if forward else g * _CONJ)
+                    stack.append(nxt)
+        disp = {lid: _canonical_rows(g, t, fails) for lid, g in raw.items()}
+        for g in disp.values():
+            # act_on_point's check; its zero-norm check cannot fail on a canonical pose
+            re = np.sum(g[:, :4] ** 2, axis=1)
+            du = 2.0 * np.sum(g[:, :4] * g[:, 4:], axis=1)
+            fails.append((~(np.abs(du) <= 1e-6 * (1.0 + re)), lambda s, du=du: NotInGroup(
+                f"Study defect {du[s]:.3e} exceeds tolerance at t = {t[s]}")))
+        positions = {}
+        for jid, a, _ in linkage.orientations:
+            anchor = classify_generator(linkage.graph.joint(jid).generator, 1e-6).anchor_point()
+            positions[jid] = _act_rows(disp[a], anchor)
+
+        residuals = [np.zeros(len(t))]
+        for left, right in linkage.loops:
+            ends = []
+            for chain in (left, right):
+                prod = evals[chain[0]]
+                for jid in chain[1:]:
+                    prod = dq_mul_array(prod, evals[jid])
+                ends.append(_canonical_rows(prod, t, fails))
+            u, v = ends
+            residuals.append(np.minimum(np.linalg.norm(u - v, axis=1), np.linalg.norm(u + v, axis=1)))
+    _raise_first(fails)
+    return Configurations(t, disp, positions, np.max(residuals, axis=0))
 
 
 def sample_configuration(linkage: Linkage, t0: float, tol: float = DEFAULT_TOL) -> ConfigurationSample:
-    """Forward kinematics at one parameter value.
+    """Forward kinematics at one parameter value: the one-row forward_kinematics.
 
-    Link displacements are the chain prefix products relative to the ground
-    link; joint positions are the axis anchor points in the world frame.
+    Link displacements are the canonical poses of the spanning tree products
+    from the ground link; joint positions are the axis anchor points in the
+    world frame.  Raises SingularParameter for a NaN t or one near a root of a
+    joint's norm quadratic; t = +-inf is the home configuration.
     """
-    _guard_parameter(linkage, t0)
-    raw = _displacements(linkage, t0)
-    disp = {lid: normalize_pose(g, 1e-6).rep for lid, g in raw.items()}
-    positions: dict[str, np.ndarray] = {}
-    for jid, a, _ in linkage.orientations:
-        gen = linkage.graph.joint(jid)
-        anchor = classify_generator(gen.generator, 1e-6).anchor_point()
-        positions[jid] = act_on_point(disp[a], anchor, 1e-6)
-    worst = 0.0
-    for left_ids, right_ids in linkage.loops:
-        lp = DQ_ONE
-        for jid in left_ids:
-            lp = lp * DQPoly.t_minus(linkage.graph.joint(jid).generator).eval_at(t0)
-        rp = DQ_ONE
-        for jid in right_ids:
-            rp = rp * DQPoly.t_minus(linkage.graph.joint(jid).generator).eval_at(t0)
-        worst = max(worst, pose_distance(lp, rp, 1e-6))
-    return ConfigurationSample(t0, disp, positions, worst)
+    cfg = forward_kinematics(linkage, [t0])
+    return ConfigurationSample(
+        t0,
+        {lid: DualQuaternion.from_array(g[0]) for lid, g in cfg.link_displacements.items()},
+        {jid: p[0] for jid, p in cfg.joint_positions.items()},
+        float(cfg.loop_residuals[0]),
+    )
+
+
+def _near_root(linkage: Linkage, t: np.ndarray, margin: float) -> np.ndarray:
+    """Samples within margin*(1 + t^2) of a root of some joint's norm quadratic, or NaN."""
+    c0, c1, c2 = np.array([q.coeffs for q in linkage.norm_quadratics()]).T[:, :, None]
+    values = (c2 * t + c1) * t + c0
+    return ~(np.abs(values) >= margin * (1.0 + t * t)).all(axis=0)
 
 
 def default_samples(linkage: Linkage, count: int = DEFAULT_SAMPLE_COUNT,
                     span: tuple[float, float] = DEFAULT_SAMPLE_RANGE,
-                    margin: float = 1e-3) -> list[float]:
+                    margin: float = _SINGULAR_MARGIN) -> list[float]:
     """Equally spaced parameter samples nudged away from norm polynomial roots."""
-    lo, hi = span
-    quads = linkage.norm_quadratics()
-    out = []
-    for t in np.linspace(lo, hi, count):
-        t = float(t)
-        for _ in range(40):
-            if all(abs(q(t)) >= margin * (1.0 + t * t) for q in quads):
-                break
-            t += 2.1 * margin
-        out.append(t)
-    return out
+    t = np.linspace(span[0], span[1], count)
+    for _ in range(40):
+        near = _near_root(linkage, t, margin)
+        if not near.any():
+            break
+        t[near] += 2.1 * margin
+    return t.tolist()
 
 
-def _world_lines(linkage: Linkage, t0: float) -> dict[str, tuple[np.ndarray, np.ndarray] | None]:
-    """World frame joint axes as (unit direction, point) pairs; None for prismatic joints."""
-    raw = _displacements(linkage, t0)
-    lines: dict[str, tuple[np.ndarray, np.ndarray] | None] = {}
-    for jid, a, _ in linkage.orientations:
-        gen = classify_generator(linkage.graph.joint(jid).generator, 1e-6)
-        g = raw[a]
-        if isinstance(gen, Rotation):
-            p0 = act_on_point(g, gen.anchor_point(), 1e-6)
-            p1 = act_on_point(g, gen.anchor_point() + gen.direction, 1e-6)
-            lines[jid] = (p1 - p0, p0)
-        else:
-            lines[jid] = None
-    return lines
-
-
-def _line_distance_angle(l1, l2) -> tuple[float, float]:
+def _line_distance_angle(l1, l2) -> tuple[np.ndarray, np.ndarray]:
+    """Distances and angles between two lines given per sample as (direction, point) rows."""
     d1, a1 = l1
     d2, a2 = l2
-    n1 = float(np.linalg.norm(d1))
-    n2 = float(np.linalg.norm(d2))
+    n1 = np.linalg.norm(d1, axis=1)
+    n2 = np.linalg.norm(d2, axis=1)
     cr = np.cross(d1, d2)
-    ncr = float(np.linalg.norm(cr))
-    angle = math.atan2(ncr, abs(float(np.dot(d1, d2))))
-    if ncr <= 1e-7 * n1 * n2:
-        # parallel axes: the skew line formula would divide noise by noise
-        dist = float(np.linalg.norm(np.cross(a2 - a1, d1))) / n1
-    else:
-        dist = abs(float(np.dot(a2 - a1, cr))) / ncr
-    return dist, angle
+    ncr = np.linalg.norm(cr, axis=1)
+    angle = np.arctan2(ncr, np.abs(np.sum(d1 * d2, axis=1)))
+    # parallel axes: the skew line formula would divide noise by noise
+    parallel = ncr <= 1e-7 * n1 * n2
+    skew = np.abs(np.sum((a2 - a1) * cr, axis=1)) / np.where(parallel, 1.0, ncr)
+    along = np.linalg.norm(np.cross(a2 - a1, d1), axis=1) / n1
+    return np.where(parallel, along, skew), angle
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,33 +412,33 @@ class RigidityReport:
 def rigidity_check(linkage: Linkage, samples: list[float] | None = None) -> RigidityReport:
     """Check that joints sharing a link keep their mutual distance and angle.
 
-    Joint axes are located through the chain displacements of their incoming
-    links, so broken closure identities show up as varying distances.
+    Joint axes are located through the spanning tree displacements of their
+    incoming links, evaluated for all samples in one forward_kinematics call,
+    so broken closure identities show up as varying distances.
     """
     if samples is None:
         samples = default_samples(linkage)
-    per_sample_lines = []
-    for t in samples:
-        _guard_parameter(linkage, t)
-        per_sample_lines.append(_world_lines(linkage, t))
+    cfg = forward_kinematics(linkage, samples)
+    positions = cfg.joint_positions
+    lines: dict[str, tuple[np.ndarray, np.ndarray] | None] = {}
+    for jid, a, _ in linkage.orientations:
+        gen = classify_generator(linkage.graph.joint(jid).generator, 1e-6)
+        if isinstance(gen, Rotation) and len(samples):
+            p1 = _act_rows(cfg.link_displacements[a], gen.anchor_point() + gen.direction)
+            lines[jid] = (p1 - positions[jid], positions[jid])
+        else:
+            lines[jid] = None
     per_link: dict[str, float] = {}
     angle_notes: dict[str, float] = {}
-    positions = {t: sample_configuration(linkage, t).joint_positions for t in samples}
     for link in linkage.graph.links:
         jids = sorted(link.joint_ids)
         dev = 0.0
         for i in range(len(jids)):
             for j in range(i + 1, len(jids)):
-                dists, angles = [], []
-                for lines in per_sample_lines:
-                    l1, l2 = lines[jids[i]], lines[jids[j]]
-                    if l1 is None or l2 is None:
-                        continue
-                    dist, ang = _line_distance_angle(l1, l2)
-                    dists.append(dist)
-                    angles.append(ang)
-                if dists:
-                    dev = max(dev, max(dists) - min(dists), max(angles) - min(angles))
+                l1, l2 = lines[jids[i]], lines[jids[j]]
+                if l1 is not None and l2 is not None:
+                    dists, angles = _line_distance_angle(l1, l2)
+                    dev = max(dev, float(np.ptp(dists)), float(np.ptp(angles)))
         per_link[link.id] = dev
         if len(jids) >= 3:
             spread = 0.0
@@ -388,31 +447,29 @@ def rigidity_check(linkage: Linkage, samples: list[float] | None = None) -> Rigi
                     for c in range(b + 1, len(jids)):
                         if a in (b, c):
                             continue
-                        vals = []
-                        for t in samples:
-                            pa = positions[t][jids[a]]
-                            u = positions[t][jids[b]] - pa
-                            v = positions[t][jids[c]] - pa
-                            nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-                            if nu < 1e-12 or nv < 1e-12:
-                                continue
-                            vals.append(math.acos(max(-1.0, min(1.0, float(np.dot(u, v)) / (nu * nv)))))
-                        if vals:
-                            spread = max(spread, max(vals) - min(vals))
+                        pa = positions[jids[a]]
+                        u = positions[jids[b]] - pa
+                        v = positions[jids[c]] - pa
+                        nu = np.linalg.norm(u, axis=1)
+                        nv = np.linalg.norm(v, axis=1)
+                        ok = (nu >= 1e-12) & (nv >= 1e-12)
+                        if ok.any():
+                            cos = np.sum(u[ok] * v[ok], axis=1) / (nu[ok] * nv[ok])
+                            spread = max(spread, float(np.ptp(np.arccos(np.clip(cos, -1.0, 1.0)))))
             angle_notes[link.id] = spread
     worst = max(per_link.values(), default=0.0)
     return RigidityReport(per_link, angle_notes, worst, tuple(samples))
 
 
 def trajectory(linkage: Linkage, link_id: str, point, t_samples) -> np.ndarray:
-    """Trajectory of a point rigidly attached to a link, one row per sample."""
+    """Trajectory of a point rigidly attached to a link, one row per sample.
+
+    All samples go through one forward_kinematics call, with its parameter
+    and pose checks.
+    """
     linkage.graph.link(link_id)
-    pts = []
-    for t in t_samples:
-        _guard_parameter(linkage, t)
-        disp = _displacements(linkage, t)
-        pts.append(act_on_point(disp[link_id], point, 1e-6))
-    return np.vstack(pts)
+    cfg = forward_kinematics(linkage, t_samples)
+    return _act_rows(cfg.link_displacements[link_id], point)
 
 
 def linkage_to_json(linkage: Linkage) -> dict:
@@ -483,7 +540,10 @@ def _planar_frame(linkage: Linkage) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def export(linkage: Linkage, format: str = "json", options: dict | None = None) -> bytes:
-    """Serialize a linkage: json (lossless), svg (planar only) or csv of joint paths."""
+    """Serialize a linkage: json (lossless), svg (planar only) or csv of joint paths.
+
+    svg and csv evaluate all samples in one forward_kinematics call.
+    """
     options = options or {}
     if format == "json":
         return json.dumps(linkage_to_json(linkage), indent=2).encode()
@@ -491,13 +551,13 @@ def export(linkage: Linkage, format: str = "json", options: dict | None = None) 
     if samples is None:
         samples = default_samples(linkage, options.get("sample_count", DEFAULT_SAMPLE_COUNT))
     if format == "csv":
+        positions = forward_kinematics(linkage, samples).joint_positions
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["t", "joint_id", "x", "y", "z"])
-        for t in samples:
-            sample = sample_configuration(linkage, t)
-            for jid in sorted(sample.joint_positions):
-                x, y, z = sample.joint_positions[jid]
+        for s, t in enumerate(samples):
+            for jid in sorted(positions):
+                x, y, z = positions[jid][s]
                 writer.writerow([repr(t), jid, repr(float(x)), repr(float(y)), repr(float(z))])
         return buf.getvalue().encode()
     if format == "svg":
@@ -506,48 +566,43 @@ def export(linkage: Linkage, format: str = "json", options: dict | None = None) 
 
 
 def _export_svg(linkage: Linkage, samples: list[float]) -> bytes:
+    if not len(samples):
+        raise ValueError("svg export needs at least one sample")
     _, e1, e2 = _planar_frame(linkage)
+    cfg = forward_kinematics(linkage, samples)
 
-    def project(p: np.ndarray) -> tuple[float, float]:
-        return float(np.dot(p, e1)), float(np.dot(p, e2))
+    def project(p: np.ndarray) -> np.ndarray:
+        return np.column_stack([p @ e1, p @ e2])
 
-    joint_paths: dict[str, list[tuple[float, float]]] = {
-        j.id: [] for j in linkage.graph.joints
-    }
-    tracer_path: list[tuple[float, float]] = []
-    for t in samples:
-        sample = sample_configuration(linkage, t)
-        for jid, pos in sample.joint_positions.items():
-            joint_paths[jid].append(project(pos))
-        if linkage.tracer is not None:
-            link_id, point = linkage.tracer
-            disp = sample.link_displacements[link_id]
-            tracer_path.append(project(act_on_point(disp, point, 1e-6)))
-    all_pts = [p for path in joint_paths.values() for p in path] + tracer_path
-    xs = [p[0] for p in all_pts]
-    ys = [p[1] for p in all_pts]
-    pad = 0.1 * max(max(xs) - min(xs), max(ys) - min(ys), 1.0)
-    view = (min(xs) - pad, min(ys) - pad, max(xs) - min(xs) + 2 * pad, max(ys) - min(ys) + 2 * pad)
+    joint_paths = {j.id: project(cfg.joint_positions[j.id]) for j in linkage.graph.joints}
+    tracer_path = np.zeros((0, 2))
+    if linkage.tracer is not None:
+        link_id, point = linkage.tracer
+        tracer_path = project(_act_rows(cfg.link_displacements[link_id], point))
+    all_pts = np.vstack([*joint_paths.values(), tracer_path])
+    lo = all_pts.min(axis=0)
+    span = all_pts.max(axis=0) - lo
+    pad = 0.1 * max(span[0], span[1], 1.0)
+    view = (lo[0] - pad, lo[1] - pad, span[0] + 2 * pad, span[1] + 2 * pad)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{view[0]:.4f} {view[1]:.4f} '
         f'{view[2]:.4f} {view[3]:.4f}">'
     ]
     stroke = max(view[2], view[3]) / 300.0
     for jid, path in joint_paths.items():
-        pts = " ".join(f"{x:.10g},{y:.10g}" for x, y in path)
+        pts = " ".join(f"{x:.10g},{y:.10g}" for x, y in path.tolist())
         parts.append(
             f'<polyline class="joint-path" id="path-{jid}" points="{pts}" '
             f'fill="none" stroke="#888" stroke-width="{stroke:.4f}"/>'
         )
-    if tracer_path:
-        pts = " ".join(f"{x:.10g},{y:.10g}" for x, y in tracer_path)
+    if len(tracer_path):
+        pts = " ".join(f"{x:.10g},{y:.10g}" for x, y in tracer_path.tolist())
         parts.append(
             f'<polyline class="tracer" points="{pts}" fill="none" '
             f'stroke="#d22" stroke-width="{1.5 * stroke:.4f}"/>'
         )
-    first = sample_configuration(linkage, samples[0])
-    for jid in sorted(first.joint_positions):
-        x, y = project(first.joint_positions[jid])
+    for jid in sorted(joint_paths):
+        x, y = joint_paths[jid][0]
         parts.append(
             f'<circle class="joint" id="joint-{jid}" cx="{x:.10g}" cy="{y:.10g}" '
             f'r="{2 * stroke:.4f}" fill="#225"/>'

@@ -274,6 +274,11 @@ class DQPoly:
         return DQPoly.of(coeffs)
 
 
+def norm_quadratic(h: DualQuaternion) -> RealPoly:
+    """Norm t^2 - 2*Re(p)*t + |p|^2 of the linear motion polynomial t - h, h = p + eps*q."""
+    return RealPoly((h.primal.norm(), -2.0 * h.primal.scalar(), 1.0))
+
+
 def poly_mul(a: DQPoly, b: DQPoly) -> DQPoly:
     """Coefficient convolution respecting the noncommutative products."""
     return a * b

@@ -47,6 +47,7 @@ from .polyring import (
     RealPoly,
     common_real_factor,
     max_real_factor,
+    norm_quadratic,
     real_roots_complex,
     right_divide,
     validate_motion,
@@ -189,8 +190,8 @@ def bennett_flip(
     """
     classify_generator(m_prev, tol)
     classify_generator(h, tol)
-    q_prev = RealPoly((m_prev.primal.norm(), -2.0 * m_prev.primal.scalar(), 1.0))
-    q_h = RealPoly((h.primal.norm(), -2.0 * h.primal.scalar(), 1.0))
+    q_prev = norm_quadratic(m_prev)
+    q_h = norm_quadratic(h)
     if (q_prev - q_h).max_abs() <= 1e-7 * (1.0 + q_prev.max_abs()):
         raise DegenerateFlip("norm quadratics of the pair coincide")
     x = DQPoly.t_minus(m_prev) * DQPoly.t_minus(h)
@@ -278,9 +279,9 @@ def kempe_linkage_for_curve(
     m0 = DEFAULT_FLIP_JOINT if m0 is None else m0
     if not isinstance(classify_generator(m0, st.tol), Rotation):
         raise DegenerateFlip("extra joint m0 must be a rotation")
-    q_m0 = RealPoly((m0.primal.norm(), -2.0 * m0.primal.scalar(), 1.0))
+    q_m0 = norm_quadratic(m0)
     for h in hs:
-        q_h = RealPoly((h.primal.norm(), -2.0 * h.primal.scalar(), 1.0))
+        q_h = norm_quadratic(h)
         if (q_m0 - q_h).max_abs() <= 1e-7 * (1.0 + q_m0.max_abs()):
             raise DegenerateFlip("norm quadratic of m0 collides with a factor norm")
     ms = [m0]

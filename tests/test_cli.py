@@ -208,6 +208,30 @@ class TestCurve:
         code, _ = run(capsys, ["factor", str(path)])
         assert code == 0
 
+    @pytest.mark.parametrize("flags", [["--samples", "0"], ["--samples", "-1"], ["--budget", "0"]])
+    def test_bad_configuration_exits_two(self, tmp_path, capsys, flags):
+        path = write_json(tmp_path / "curve.json", {
+            "v": [[-4.0], [0.0, -2.0], [0.0]],
+            "w": [1.0, 0.0, 1.0],
+        })
+        with pytest.raises(SystemExit) as err:
+            main(flags + ["--out", str(tmp_path / "o"), "curve", str(path), "--export", "svg"])
+        assert err.value.code == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("data", [{"sample_count": 0}, {"tolerance": "small"}, [1]])
+    def test_bad_configuration_file_exits_two(self, tmp_path, capsys, monkeypatch, rng, data):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        monkeypatch.setenv("MOTIONFACTOR_CONFIG", str(cfg))
+        c, _ = random_generic_motion(rng, 2)
+        path = write_json(tmp_path / "c.json", c.poly.to_json())
+        with pytest.raises(SystemExit) as err:
+            main(["factor", str(path)])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_deterministic_output(self, tmp_path, capsys):
         path = write_json(tmp_path / "curve.json", {
             "v": [[-4.0], [0.0, -2.0], [0.0]],

@@ -5,7 +5,16 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from motionfactor.dualquat import DQ_ONE, DualQuaternion, QI, Quaternion, pose_distance
+from motionfactor import linkage as linkage_module
+from motionfactor.dualquat import (
+    DQ_ONE,
+    DualQuaternion,
+    QI,
+    Quaternion,
+    act_on_point,
+    classify_generator,
+    pose_distance,
+)
 from motionfactor.errors import ClosureMismatch, NotPlanar, SingularParameter
 from motionfactor.factorization import all_factorizations
 from motionfactor.linkage import (
@@ -14,6 +23,7 @@ from motionfactor.linkage import (
     assemble,
     default_samples,
     export,
+    forward_kinematics,
     import_linkage,
     rigidity_check,
     sample_configuration,
@@ -33,6 +43,35 @@ def bennett_linkage(rng):
         [("k1", f2.factors[0]), ("k2", f2.factors[1])],
     )
     return assemble([loop])
+
+
+def translation_pair_linkage():
+    # a translation factor has a real norm root at its scalar, here t = 1
+    h = DualQuaternion(Quaternion(1.0), QI)
+    k = DualQuaternion(Quaternion(1.0), QI * 0.5)
+    return assemble([
+        ([("a", h), ("b", k)], [("c", h), ("d", k)])
+    ])
+
+
+def dataclass_positions(linkage, t):
+    """Joint positions from dataclass products along a breadth first path from the ground."""
+    evals = {j.id: DQPoly.t_minus(j.generator).eval_at(t) for j in linkage.graph.joints}
+    disp = {linkage.ground: DQ_ONE}
+    frontier = [linkage.ground]
+    while frontier:
+        reached = []
+        for cur in frontier:
+            for jid, a, b in linkage.orientations:
+                for here, there, g in ((a, b, evals[jid]), (b, a, evals[jid].conj())):
+                    if here == cur and there not in disp:
+                        disp[there] = disp[cur] * g
+                        reached.append(there)
+        frontier = reached
+    return {
+        jid: act_on_point(disp[a], classify_generator(linkage.graph.joint(jid).generator).anchor_point(), 1e-6)
+        for jid, a, _ in linkage.orientations
+    }
 
 
 def ellipse_linkage():
@@ -92,6 +131,81 @@ class TestSampling:
         ])
         with pytest.raises(SingularParameter):
             sample_configuration(linkage, 1.0)
+
+
+class TestForwardKinematics:
+    @pytest.mark.parametrize("which", ["ellipse", "bennett"])
+    def test_matches_dataclass_evaluation(self, rng, which):
+        linkage = ellipse_linkage()[0] if which == "ellipse" else bennett_linkage(rng)
+        ts = default_samples(linkage, 25) + [float("inf"), float("-inf")]
+        cfg = forward_kinematics(linkage, ts)
+        assert cfg.loop_residuals.shape == (len(ts),)
+        assert np.all(cfg.loop_residuals < 1e-9)
+        for s, t in enumerate(ts):
+            want = dataclass_positions(linkage, t)
+            assert set(want) == set(cfg.joint_positions)
+            for jid, p in want.items():
+                assert np.abs(cfg.joint_positions[jid][s] - p).max() <= 1e-12 * (1.0 + np.abs(p).max())
+
+    def test_one_row_call_is_sample_configuration(self, rng):
+        linkage = bennett_linkage(rng)
+        ts = default_samples(linkage, 6)
+        cfg = forward_kinematics(linkage, ts)
+        for s, t in enumerate(ts):
+            sample = sample_configuration(linkage, t)
+            for jid, p in sample.joint_positions.items():
+                assert np.array_equal(p, cfg.joint_positions[jid][s])
+            for lid, g in sample.link_displacements.items():
+                assert np.array_equal(g.as_array(), cfg.link_displacements[lid][s])
+
+    def test_first_failing_sample_is_reported(self):
+        linkage = translation_pair_linkage()
+        with pytest.raises(SingularParameter, match="t = 1.0 "):
+            forward_kinematics(linkage, [3.0, 1.0, float("nan")])
+        with pytest.raises(SingularParameter, match="t = nan "):
+            forward_kinematics(linkage, [3.0, float("nan"), 1.0])
+
+    def test_nan_parameter_sample_configuration(self, rng):
+        with pytest.raises(SingularParameter):
+            sample_configuration(bennett_linkage(rng), float("nan"))
+
+    def test_nan_parameter_trajectory(self, rng):
+        linkage = bennett_linkage(rng)
+        with pytest.raises(SingularParameter):
+            trajectory(linkage, linkage.ground, (0.0, 0.0, 0.0), [0.5, float("nan")])
+
+    def test_nan_parameter_csv_export(self, rng):
+        with pytest.raises(SingularParameter):
+            export(bennett_linkage(rng), "csv", {"samples": [float("nan")]})
+
+    def test_nan_parameter_rigidity_check(self, rng):
+        with pytest.raises(SingularParameter):
+            rigidity_check(bennett_linkage(rng), [0.5, float("nan")])
+
+    def test_svg_export_is_one_kernel_call(self, monkeypatch):
+        linkage, _, _ = ellipse_linkage()
+        kernel = linkage_module.forward_kinematics
+        classify = linkage_module.classify_generator
+        counts = {"kernel": 0, "classify": 0}
+
+        def counting_kernel(*args, **kwargs):
+            counts["kernel"] += 1
+            return kernel(*args, **kwargs)
+
+        def counting_classify(*args, **kwargs):
+            counts["classify"] += 1
+            return classify(*args, **kwargs)
+
+        monkeypatch.setattr(linkage_module, "forward_kinematics", counting_kernel)
+        monkeypatch.setattr(linkage_module, "classify_generator", counting_classify)
+        classified = []
+        for count in (5, 25):
+            counts.update(kernel=0, classify=0)
+            export(linkage, "svg", {"samples": default_samples(linkage, count)})
+            assert counts["kernel"] == 1
+            classified.append(counts["classify"])
+        # once per joint for the drawing plane and once per joint for the anchors
+        assert classified == [2 * len(linkage.graph.joints)] * 2
 
 
 class TestRigidity:

@@ -19,6 +19,7 @@ from motionfactor.polyring import (
     common_real_factor,
     max_real_factor,
     norm_poly,
+    norm_quadratic,
     quadratic_factors,
     real_roots_complex,
     right_divide,
@@ -113,6 +114,13 @@ class TestNormPoly:
         rb, _ = norm_poly(b)
         rab, _ = norm_poly(a * b)
         assert (rab - ra * rb).max_abs() < 1e-9 * (1 + rab.max_abs())
+
+    def test_norm_quadratic_is_norm_of_linear_factor(self, rng):
+        for h in [random_rotation_generator(rng) for _ in range(5)] + [DualQuaternion(Quaternion(), QI)]:
+            re, _ = norm_poly(DQPoly.t_minus(h))
+            q = norm_quadratic(h)
+            assert len(q.coeffs) == 3 and q.coeffs[2] == 1.0
+            assert (re - q).max_abs() < 1e-12 * (1 + re.max_abs())
 
 
 class TestValidateMotion:
