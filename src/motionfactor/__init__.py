@@ -22,14 +22,12 @@ from .polyring import (
     DQPoly,
     MotionPolynomial,
     RealPoly,
-    eval_at,
+    chain_product,
     max_real_factor,
     norm_poly,
-    poly_mul,
     quadratic_factors,
     real_roots_complex,
     right_divide,
-    right_eval,
     validate_motion,
 )
 from .factorization import (

@@ -78,7 +78,7 @@ def _read_dqpoly(path: str) -> DQPoly:
 
 
 def _fail(payload: dict) -> int:
-    print(json.dumps(payload, indent=2))
+    print(json.dumps(payload))
     return 1
 
 
@@ -98,7 +98,7 @@ def cmd_validate(args) -> int:
         "primal_real_factor": list(primal_factor.coeffs),
         "generic": primal_factor.degree <= 0,
     }
-    print(json.dumps(report, indent=2))
+    print(json.dumps(report))
     return 0
 
 
@@ -129,7 +129,7 @@ def cmd_factor(args) -> int:
             report = rep.to_json()
     except MotionFactorError as exc:
         return _fail({"status": "error", "error": type(exc).__name__, "detail": str(exc)})
-    print(json.dumps(report, indent=2))
+    print(json.dumps(report))
     return 0 if report["status"] == SUCCESS else 1
 
 
@@ -161,7 +161,7 @@ def cmd_synth3(args) -> int:
         "frame_offset": list(bennett.frame_offset.as_array()),
         "linkage": linkage_to_json(linkage),
     }
-    print(json.dumps(out, indent=2))
+    print(json.dumps(out))
     return 0
 
 
@@ -209,7 +209,7 @@ def cmd_curve(args) -> int:
         "notes": list(linkage.notes),
         "files": written,
     }
-    print(json.dumps(summary, indent=2))
+    print(json.dumps(summary))
     return 0
 
 

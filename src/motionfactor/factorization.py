@@ -38,6 +38,7 @@ from .polyring import (
     MotionPolynomial,
     RP_ONE,
     RealPoly,
+    chain_product,
     group_quadratics,
     max_real_factor,
     norm_quadratic,
@@ -75,19 +76,20 @@ class Factorization:
     factors: tuple[DualQuaternion, ...]
     multiplier: RealPoly = RP_ONE
 
+    def factor_array(self) -> np.ndarray:
+        return np.array([h.as_array() for h in self.factors]).reshape(-1, 8)
+
     def product(self) -> DQPoly:
-        out = DQPoly.of([1.0])
-        for h in self.factors:
-            out = out * DQPoly.t_minus(h)
-        return out
+        return DQPoly.from_array(chain_product(self.factor_array()))
 
     def residual_against(self, c: DQPoly) -> float:
-        target = c * self.multiplier
-        prod = self.product()
-        n = max(len(prod.coeffs), len(target.coeffs))
-        return max(
-            (prod.coeff(k) - target.coeff(k)).max_abs() for k in range(n)
-        ) if n else 0.0
+        """Largest coefficient of (t-h_1)...(t-h_n) - c * multiplier."""
+        prod, cs = chain_product(self.factor_array()), c.as_array()
+        diff = np.zeros((max(len(prod), len(cs) + len(self.multiplier.coeffs) - 1), 8))
+        diff[:len(prod)] = prod
+        for i, r in enumerate(self.multiplier.coeffs):
+            diff[i:i + len(cs)] -= r * cs
+        return float(np.max(np.abs(diff)))
 
     def kinds(self) -> tuple[str, ...]:
         return tuple(classify_generator(h).kind for h in self.factors)
@@ -229,7 +231,7 @@ def factor_generic(c: MotionPolynomial, order: list[RealPoly] | None = None) -> 
     if order is None:
         order = quadratic_factors(c.norm.monic())
     limit = 1e-6 * (1.0 + c.poly.max_abs())
-    d, factors = np.array([[h.as_array() for h in c.poly.coeffs]]), []
+    d, factors = c.poly.as_array()[None], []
     for m in order:
         h, d = _peel_level(d, np.array([[m.coeff(0), m.coeff(1)]]), limit)
         factors.insert(0, h[0].tolist())
@@ -240,20 +242,31 @@ def _factor_sort_key(f: Factorization):
     return tuple(tuple(round(v, 9) for v in h.as_array()) for h in f.factors)
 
 
+def _unique_sorted(hs: np.ndarray, dedupe: bool, tol: float = 1e-7) -> np.ndarray:
+    """Indices of the rows of an (N, k, 8) factor array in _factor_sort_key order.
+
+    With dedupe, a row is dropped first when all its factors lie within tol
+    of those of an earlier kept row.
+    """
+    flat = hs.reshape(len(hs), -1)
+    keep = np.arange(len(hs))
+    if dedupe:
+        kept: list[int] = []
+        for i, row in enumerate(flat):
+            if not (np.abs(flat[kept] - row).max(axis=1, initial=0.0) <= tol).any():
+                kept.append(i)
+        keep = np.array(kept, dtype=int)
+    if len(keep) < 2 or not flat.shape[1]:
+        return keep
+    return keep[np.lexsort(np.round(flat[keep], 9).T[::-1])]
+
+
 def _dedupe_factorizations(fs: list[Factorization], tol: float = 1e-7) -> list[Factorization]:
-    out: list[Factorization] = []
-    for f in fs:
-        dup = False
-        for g in out:
-            if len(f.factors) != len(g.factors):
-                continue
-            if all((a - b).max_abs() <= tol for a, b in zip(f.factors, g.factors)):
-                dup = True
-                break
-        if not dup:
-            out.append(f)
-    out.sort(key=_factor_sort_key)
-    return out
+    """Factorizations of one length, near duplicates dropped, sorted by _factor_sort_key."""
+    if not fs:
+        return []
+    hs = np.array([f.factor_array() for f in fs])
+    return [fs[i] for i in _unique_sorted(hs, True, tol)]
 
 
 def all_factorizations(c: MotionPolynomial) -> list[Factorization]:
@@ -272,7 +285,7 @@ def all_factorizations(c: MotionPolynomial) -> list[Factorization]:
     groups = group_quadratics(quadratic_factors(c.norm.monic()))
     quads = np.array([(m.coeff(0), m.coeff(1)) for m, _ in groups])
     limit = 1e-6 * (1.0 + c.poly.max_abs())
-    d = np.array([[h.as_array() for h in c.poly.coeffs]])
+    d = c.poly.as_array()[None]
     left = np.array([[cnt for _, cnt in groups]], dtype=int)
     hs = np.zeros((1, 0, 8))
     while left.any():
@@ -282,10 +295,7 @@ def all_factorizations(c: MotionPolynomial) -> list[Factorization]:
         hs = np.concatenate([h[:, None], hs[rows]], axis=1)
         left = left[rows]
         left[np.arange(len(rows)), quad] -= 1
-    if any(cnt > 1 for _, cnt in groups):
-        return _dedupe_factorizations([_to_factorization(f) for f in hs.tolist()])
-    if len(hs) > 1:
-        hs = hs[np.lexsort(np.round(hs, 9).reshape(len(hs), -1).T[::-1])]
+    hs = hs[_unique_sorted(hs, any(cnt > 1 for _, cnt in groups))]
     return [_to_factorization(f) for f in hs.tolist()]
 
 
@@ -858,19 +868,23 @@ def _factor_planar(
 
 
 def _refine_factors(factors: tuple[DualQuaternion, ...], target: DQPoly) -> tuple[DualQuaternion, ...]:
-    """Polish a factor chain so the reconstruction holds to machine precision."""
+    """Polish a factor chain so the reconstruction holds to machine precision.
+
+    The chain has one factor per degree of the monic target, as every
+    recorded factorization passed the reconstruction check.
+    """
     k = len(factors)
-    x0 = np.concatenate([h.as_array() for h in factors])
+    x0 = Factorization(factors).factor_array().ravel()
+    goal = target.as_array()
     scale = 1.0 + target.max_abs()
 
     def resid(x: np.ndarray) -> np.ndarray:
-        hs = [DualQuaternion.from_array(x[8 * i: 8 * i + 8]) for i in range(k)]
-        prod = Factorization(tuple(hs)).product()
-        diff = prod - target
-        parts = [np.concatenate([c.as_array() for c in diff.coeffs]) if not diff.is_zero else np.zeros(1)]
-        parts.append(np.array([h.dual.scalar() for h in hs]))
-        parts.append(np.array([h.primal.dot(h.dual) for h in hs]))
-        return np.concatenate(parts) / scale
+        hs = x.reshape(k, 8)
+        return np.concatenate([
+            (chain_product(hs) - goal).ravel(),
+            hs[:, 4],
+            np.sum(hs[:, :4] * hs[:, 4:], axis=1),
+        ]) / scale
 
     before = float(np.linalg.norm(resid(x0)))
     if before <= 1e-12:

@@ -26,7 +26,7 @@ from .errors import (
     NotPlanar,
     SingularParameter,
 )
-from .polyring import DQPoly, RealPoly, norm_quadratic
+from .polyring import RealPoly, chain_product, norm_quadratic
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,13 +117,6 @@ class _UnionFind:
             self.parent[ra] = rb
 
 
-def _chain_product(chain) -> DQPoly:
-    out = DQPoly.of([1.0])
-    for _, gen in chain:
-        out = out * DQPoly.t_minus(gen)
-    return out
-
-
 def assemble(loops, ground: str | None = None, tracer=None, tol: float = DEFAULT_TOL) -> Linkage:
     """Build a linkage from closure loops given as pairs of joint chains.
 
@@ -142,10 +135,12 @@ def assemble(loops, ground: str | None = None, tracer=None, tol: float = DEFAULT
             else:
                 gens[jid] = gen
     for i, (left, right) in enumerate(loops):
-        lp = _chain_product(left)
-        rp = _chain_product(right)
-        residual = (lp - rp).max_abs()
-        if residual > 1e-7 * (1.0 + lp.max_abs()):
+        if len(left) != len(right):
+            raise ClosureMismatch(f"loop {i}: chains of {len(left)} and {len(right)} joints")
+        hs = np.array([[gen.as_array() for _, gen in chain] for chain in (left, right)])
+        lp, rp = chain_product(hs.reshape(2, len(left), 8))
+        residual = float(np.max(np.abs(lp - rp)))
+        if not residual <= 1e-7 * (1.0 + np.max(np.abs(lp))):
             raise ClosureMismatch(f"loop {i}: chain products differ by {residual:.3e}")
 
     # Slots are the per-loop link positions; shared joints weld their incoming

@@ -45,6 +45,7 @@ from .polyring import (
     DQPoly,
     MotionPolynomial,
     RealPoly,
+    chain_product,
     common_real_factor,
     max_real_factor,
     norm_quadratic,
@@ -194,7 +195,7 @@ def bennett_flip(
     q_h = norm_quadratic(h)
     if (q_prev - q_h).max_abs() <= 1e-7 * (1.0 + q_prev.max_abs()):
         raise DegenerateFlip("norm quadratics of the pair coincide")
-    x = DQPoly.t_minus(m_prev) * DQPoly.t_minus(h)
+    x = DQPoly.from_array(chain_product(np.array([m_prev.as_array(), h.as_array()])))
     sol = solve_linear_factor(x, q_prev, tol)
     if not isinstance(sol, UniqueSolution):
         raise DegenerateFlip("flip does not have a unique solution")

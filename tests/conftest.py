@@ -24,6 +24,26 @@ def product_of(factors) -> DQPoly:
     return out
 
 
+def residual_reference(f, c: DQPoly) -> float:
+    """Reconstruction residual of a Factorization from chained DQPoly products."""
+    return coeff_residual(product_of(f.factors), c * f.multiplier)
+
+
+def pairwise_dedupe(fs, tol: float = 1e-7):
+    """Reference dedupe: drop a factorization within tol of an earlier kept one, then sort."""
+    from motionfactor.factorization import _factor_sort_key
+
+    out = []
+    for f in fs:
+        if not any(
+            len(f.factors) == len(g.factors)
+            and all((a - b).max_abs() <= tol for a, b in zip(f.factors, g.factors))
+            for g in out
+        ):
+            out.append(f)
+    return sorted(out, key=_factor_sort_key)
+
+
 def random_rotation_generator(rng, axis_direction=None, scalar=None) -> DualQuaternion:
     """Rotation generator c + rho*d + eps*rho*(d x a) about a random line."""
     c = rng.uniform(-1.5, 1.5) if scalar is None else scalar

@@ -93,6 +93,14 @@ class TestFactor:
             )
             assert f.residual_against(c.poly) < 1e-8
 
+    def test_all_prints_one_compact_line(self, tmp_path, capsys, rng):
+        c, _ = random_generic_motion(rng, 3)
+        path = write_json(tmp_path / "c.json", c.poly.to_json())
+        code, out = run(capsys, ["factor", str(path), "--all"])
+        assert code == 0
+        assert out.endswith("\n") and out.count("\n") == 1
+        assert set(json.loads(out)) == {"status", "multiplier", "factorizations", "diagnostics"}
+
     def test_ellipse_needs_multiplier(self, tmp_path, capsys):
         code, out = run(capsys, ["factor", ellipse_file(tmp_path)])
         assert code == 1
@@ -259,3 +267,20 @@ def test_import_leaves_scipy_optimize_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_curve_run_leaves_scipy_optimize_unloaded(tmp_path):
+    # the exact planar path polishes nothing: the factor polish exits before
+    # least_squares, so a curve call never pays for importing scipy.optimize
+    path = write_json(tmp_path / "ellipse.json", {"v": [[-4.0], [0.0, -2.0], [0.0]], "w": [1.0, 0.0, 1.0]})
+    code = (
+        "import sys\n"
+        "from motionfactor import cli\n"
+        f"assert cli.main(['--out', {str(tmp_path / 'out')!r}, 'curve', {path!r}, '--export', 'svg']) == 0\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "linkage.svg").exists()

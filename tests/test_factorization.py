@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from motionfactor.dualquat import (
@@ -48,9 +49,11 @@ from motionfactor.polyring import (
 from conftest import (
     dq,
     norm_quadratic,
+    pairwise_dedupe,
     product_of,
     random_generic_motion,
     random_rotation_generator,
+    residual_reference,
 )
 
 
@@ -315,3 +318,35 @@ class TestReportSerialization:
             mult = RealPoly.of(fd["multiplier"])
             f = Factorization(tuple(factors), mult)
             assert f.residual_against(c.poly) < 1e-8
+
+
+class TestArrayChains:
+    def test_residual_against_with_multiplier(self, rng):
+        for _ in range(5):
+            c, factors = random_generic_motion(rng, 3)
+            h = random_rotation_generator(rng)
+            r = norm_quadratic(h)
+            exact = Factorization(tuple(factors) + (h, h.conj()), r)
+            off = Factorization(tuple(factors) + (h, h), r)
+            for f in (exact, off):
+                want = residual_reference(f, c.poly)
+                assert abs(f.residual_against(c.poly) - want) <= 1e-12 * (1 + c.poly.max_abs())
+            assert exact.residual_against(c.poly) < 1e-10
+            assert off.residual_against(c.poly) > 1e-3
+
+    def test_array_dedupe_matches_pairwise(self, rng):
+        fs = []
+        for _ in range(5):
+            base = [random_rotation_generator(rng) for _ in range(3)]
+            direction = rng.uniform(-1.0, 1.0, size=8)
+            direction /= np.max(np.abs(direction))
+            # steps of 0.6e-7: neighbours are duplicates, the second next is not
+            for step in (0.0, 0.6e-7, 1.2e-7, 0.3e-7, 5e-7):
+                fs.append(Factorization(tuple(
+                    DualQuaternion.from_array(h.as_array() + step * direction) for h in base
+                )))
+        fs = [fs[i] for i in rng.permutation(len(fs))]
+        got = _dedupe_factorizations(fs)
+        want = pairwise_dedupe(fs)
+        assert 5 < len(want) < len(fs)
+        assert [id(f) for f in got] == [id(f) for f in want]

@@ -16,6 +16,7 @@ from motionfactor.errors import (
 from motionfactor.polyring import (
     DQPoly,
     RealPoly,
+    chain_product,
     common_real_factor,
     max_real_factor,
     norm_poly,
@@ -88,6 +89,24 @@ class TestDQPolyArithmetic:
             assert coeff_residual((a * b).conj(), b.conj() * a.conj()) < 1e-9 * (
                 1 + a.max_abs() * b.max_abs()
             )
+
+
+class TestChainProduct:
+    @pytest.mark.parametrize("k", range(7))
+    def test_matches_chained_dataclass_products(self, rng, k):
+        hs = rng.normal(size=(k, 8))
+        got = chain_product(hs)
+        want = product_of([DualQuaternion.from_array(h) for h in hs])
+        assert got.shape == (k + 1, 8)
+        assert coeff_residual(DQPoly.from_array(got), want) <= 1e-12 * (1 + want.max_abs())
+
+    def test_batched_chains(self, rng):
+        hs = rng.normal(size=(4, 3, 5, 8))
+        got = chain_product(hs)
+        assert got.shape == (4, 3, 6, 8)
+        for row, chain in zip(got.reshape(-1, 6, 8), hs.reshape(-1, 5, 8)):
+            want = product_of([DualQuaternion.from_array(h) for h in chain])
+            assert coeff_residual(DQPoly.from_array(row), want) <= 1e-12 * (1 + want.max_abs())
 
 
 class TestNormPoly:

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -220,6 +222,28 @@ class TestKempe:
         assert len(linkage.loops) == 4
         for left, right in linkage.loops:
             assert len(left) == len(right) == 2
+
+    def test_chains_multiply_on_arrays(self, monkeypatch):
+        # the residual, polish, dedupe, closure and flip steps multiply factor
+        # chains with chain_product, never with DQPoly products
+        watched = {"_record", "_refine_factors", "_dedupe_factorizations", "assemble", "bennett_flip"}
+        calls, inside = [], []
+        mul = DQPoly.__mul__
+
+        def spy(self, other):
+            calls.append(1)
+            frame = sys._getframe(1)
+            while frame is not None:
+                if frame.f_code.co_name in watched:
+                    inside.append(frame.f_code.co_name)
+                frame = frame.f_back
+            return mul(self, other)
+
+        monkeypatch.setattr(DQPoly, "__mul__", spy)
+        v = (RealPoly((-4.0,)), RealPoly((0.0, -2.0)), RealPoly(()))
+        kempe_linkage_for_curve(v, RealPoly((1.0, 0.0, 1.0)))
+        assert calls, "the spy saw no DQPoly product at all"
+        assert inside == []
 
     def test_clashing_extra_joint_rejected(self):
         v = (RealPoly((-2.0,)), RealPoly((0.0, -2.0)), RealPoly(()))
