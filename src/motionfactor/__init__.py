@@ -28,6 +28,7 @@ from .polyring import (
     quadratic_factors,
     real_roots_complex,
     right_divide,
+    root_clusters,
     validate_motion,
 )
 from .factorization import (

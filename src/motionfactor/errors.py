@@ -41,6 +41,10 @@ class NonInvertibleDivisorLeading(NonInvertibleLeading):
     """Divisor of a polynomial division has a non invertible leading coefficient."""
 
 
+class NotMonic(MotionFactorError, ValueError):
+    """Polynomial must be monic (leading coefficient one) for this operation."""
+
+
 class NotNonnegative(MotionFactorError):
     """Real polynomial takes negative values on the real line."""
 

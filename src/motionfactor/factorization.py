@@ -31,6 +31,7 @@ from .errors import (
     ExceptionalCase,
     NonInvertibleLeading,
     NotLinearMotion,
+    NotMonic,
     Unbounded,
 )
 from .polyring import (
@@ -45,6 +46,7 @@ from .polyring import (
     quadratic_factors,
     real_roots_complex,
     right_divide,
+    root_clusters,
     validate_motion,
 )
 
@@ -227,7 +229,7 @@ def factor_generic(c: MotionPolynomial, order: list[RealPoly] | None = None) -> 
     The input must be monic; exceptional remainders raise ExceptionalCase.
     """
     if not c.is_monic():
-        raise ValueError("factor_generic needs a monic motion polynomial")
+        raise NotMonic("factor_generic needs a monic motion polynomial")
     if order is None:
         order = quadratic_factors(c.norm.monic())
     limit = 1e-6 * (1.0 + c.poly.max_abs())
@@ -281,7 +283,7 @@ def all_factorizations(c: MotionPolynomial) -> list[Factorization]:
     quadratic repeats.
     """
     if not c.is_monic():
-        raise ValueError("all_factorizations needs a monic motion polynomial")
+        raise NotMonic("all_factorizations needs a monic motion polynomial")
     groups = group_quadratics(quadratic_factors(c.norm.monic()))
     quads = np.array([(m.coeff(0), m.coeff(1)) for m, _ in groups])
     limit = 1e-6 * (1.0 + c.poly.max_abs())
@@ -487,7 +489,7 @@ def _probe_residual(quot: DQPoly, m: RealPoly, tol: float) -> np.ndarray:
     residual = a @ h0 - b
     if a.shape[0] == 2:
         # m divides quot exactly: a factor with this norm always splits off
-        return np.zeros(1)
+        return np.zeros(12)
     return np.concatenate([
         residual,
         [h0[:4] @ h0[:4] - n, h0[:4] @ h0[4:]],
@@ -719,66 +721,11 @@ def _planar_frame_of(d: DQPoly, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarr
     return u, v, n
 
 
-def _refine_root_clusters(pcode: np.ndarray, roots: np.ndarray) -> list[complex]:
-    """Cluster equal roots of a complex polynomial and polish each by Newton.
-
-    pcode holds ascending coefficients.  Multiple roots are refined against
-    the remainder of the polynomial modulo (t - z)**k.
-    """
-    clusters: list[list[complex]] = []
-    for r in sorted(roots, key=lambda z: (round(z.real, 6), round(z.imag, 6))):
-        for cl in clusters:
-            if abs(r - cl[0]) <= 2e-2 * (1.0 + abs(cl[0])):
-                cl.append(r)
-                break
-        else:
-            clusters.append([complex(r)])
-    out: list[complex] = []
-    for cl in clusters:
-        k = len(cl)
-        z = sum(cl) / k
-        if k > 1:
-            def rem_of(zz: complex) -> np.ndarray:
-                divisor = np.array([1.0])
-                for _ in range(k):
-                    divisor = np.convolve(divisor, np.array([1.0, -zz]))
-                _, rem = np.polydiv(pcode[::-1], divisor)
-                return rem
-            for _ in range(40):
-                r0 = rem_of(z)
-                if np.max(np.abs(r0)) <= 1e-14 * (1.0 + np.max(np.abs(pcode))):
-                    break
-                h = 1e-7
-                jac = (rem_of(z + h) - r0) / h
-                jac_i = (rem_of(z + 1j * h) - r0) / h
-                a = np.column_stack([
-                    np.concatenate([jac.real, jac.imag]),
-                    np.concatenate([jac_i.real, jac_i.imag]),
-                ])
-                b = -np.concatenate([r0.real, r0.imag])
-                step, *_ = np.linalg.lstsq(a, b, rcond=None)
-                if not np.all(np.isfinite(step)) or np.linalg.norm(step) > 1.0:
-                    break
-                z = z + complex(step[0], step[1])
-                if np.linalg.norm(step) < 1e-15:
-                    break
-        out.extend([z] * k)
-    return out
-
-
-def _distinct_sequences(values: list[complex]) -> list[list[complex]]:
-    labels: list[int] = []
-    reps: list[complex] = []
-    for z in values:
-        for i, r in enumerate(reps):
-            if abs(z - r) <= 1e-9 * (1.0 + abs(r)):
-                labels.append(i)
-                break
-        else:
-            reps.append(z)
-            labels.append(len(reps) - 1)
+def _distinct_sequences(clusters: list[tuple[complex, int]]) -> list[list[complex]]:
+    """Every distinct ordering of the roots, each repeated by its multiplicity."""
+    labels = [i for i, (_, k) in enumerate(clusters) for _ in range(k)]
     seqs = sorted(set(itertools.permutations(labels)))
-    return [[reps[i] for i in seq] for seq in seqs]
+    return [[clusters[i][0] for i in seq] for seq in seqs]
 
 
 def _lex_min_dual(w0: np.ndarray, nullspace: np.ndarray) -> np.ndarray:
@@ -823,13 +770,11 @@ def _factor_planar(
         complex(float(np.dot(c.dual.vec(), u)), -float(np.dot(c.dual.vec(), v)))
         for c in d.coeffs
     ])
-    roots = np.roots(pcode[::-1])
-    zs = _refine_root_clusters(pcode, roots)
     rhs = -qcode[:m]
     if len(rhs) < m:
         rhs = np.concatenate([rhs, np.zeros(m - len(rhs), dtype=complex)])
     scale = 1.0 + float(np.max(np.abs(qcode))) if len(qcode) else 1.0
-    for seq in _distinct_sequences(zs):
+    for seq in _distinct_sequences(root_clusters(pcode)):
         if not state.spend():
             return
         cols = []

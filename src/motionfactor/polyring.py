@@ -7,6 +7,8 @@ c = quotient * divisor + remainder.
 """
 from __future__ import annotations
 
+import cmath
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -383,18 +385,90 @@ def real_roots_complex(n: RealPoly) -> np.ndarray:
 
 
 _IM_TOL = 1e-6          # imaginary part below this means "real root"
-_PAIR_GAP = 5e-3        # relative gap allowed inside a double real root cluster
+_CLUSTER_NET = 2e-2     # relative radius within which eigenvalues may be one multiple root
 _CONDITION_SEP = 1e-4   # separation below which the quadratic multiset is ill conditioned
+
+
+def _newton_remainder(p: list[complex], nodes: list[complex]) -> list[complex]:
+    """Remainder of p modulo prod(t - r) over the nodes, in the Newton basis of the nodes.
+
+    p holds descending coefficients.  Entry j is the divided difference
+    p[r_0, ..., r_j], found by one synthetic division per node; at k equal
+    nodes z these are the Taylor coefficients p^(j)(z) / j!.
+    """
+    out = []
+    for r in nodes:
+        acc = 0j
+        quot = []
+        for c in p:
+            acc = acc * r + c
+            quot.append(acc)
+        out.append(quot.pop())
+        p = quot
+    return out
+
+
+def _polish(p: list[complex], z: complex, k: int) -> complex:
+    """Newton on the (k-1)-th derivative of p, of which a k-fold root is a simple root."""
+    for _ in range(40):
+        taylor = _newton_remainder(p, [z] * (k + 1))
+        if taylor[k] == 0:
+            break
+        step = -taylor[k - 1] / (k * taylor[k])
+        if not cmath.isfinite(step) or abs(step) > 1.0:
+            break
+        z += step
+        if abs(step) <= 1e-15 * (1.0 + abs(z)):
+            break
+    return z
+
+
+def root_clusters(coeffs) -> list[tuple[complex, int]]:
+    """Distinct roots of a real or complex polynomial with their multiplicities.
+
+    coeffs holds ascending coefficients.  The eigenvalues of the companion
+    matrix scatter a k-fold root by about eps**(1/k), so eigenvalues within
+    _CLUSTER_NET * (1 + |z|) of each other form a candidate cluster, polished
+    by Newton on the (k-1)-th derivative.  A merge is kept only when p modulo
+    (t - z)**k is no larger than p modulo the product over the unmerged
+    eigenvalues, or is negligible; otherwise the eigenvalues stay simple roots.
+    """
+    p = [complex(c) for c in reversed(coeffs)]
+    clusters: list[list[complex]] = []
+    roots = np.roots(p).tolist()
+    for r in sorted(roots, key=lambda z: (round(z.real, 6), round(z.imag, 6))):
+        for cl in clusters:
+            if abs(r - cl[0]) <= _CLUSTER_NET * (1.0 + abs(cl[0])):
+                cl.append(r)
+                break
+        else:
+            clusters.append([r])
+    floor = 1e-12 * (1.0 + max(abs(c) for c in p))
+    out: list[tuple[complex, int]] = []
+    for cl in clusters:
+        k = len(cl)
+        z = _polish(p, sum(cl) / k, k)
+        if k == 1:
+            out.append((z, 1))
+            continue
+        after = max(abs(a) for a in _newton_remainder(p, [z] * k))
+        before = max(abs(a) for a in _newton_remainder(p, cl))
+        if after <= max(before, floor):
+            out.append((z, k))
+        else:
+            out.extend((r, 1) for r in cl)
+    return out
 
 
 def quadratic_factors(n: RealPoly, tol: float = DEFAULT_TOL) -> list[RealPoly]:
     """Factor a monic nonnegative real polynomial into monic quadratics.
 
-    Complex conjugate root pairs give irreducible quadratics; real roots must
-    come in even multiplicity and are paired into (t - r)**2.  The result is a
-    multiset sorted by coefficients.  A NumericalConditionWarning is emitted
-    when two quadratic factors nearly coincide, since multiplicities are then
-    ambiguous in floating point.
+    A root cluster z of multiplicity k above the real axis gives k copies of
+    t**2 - 2*Re(z)*t + |z|**2; a real root must have even multiplicity k and
+    gives k/2 copies of (t - r)**2.  The result is a multiset sorted by
+    coefficients.  A NumericalConditionWarning is emitted when two quadratic
+    factors nearly coincide, since multiplicities are then ambiguous in
+    floating point.
     """
     if n.is_zero:
         raise ValueError("zero polynomial")
@@ -405,99 +479,31 @@ def quadratic_factors(n: RealPoly, tol: float = DEFAULT_TOL) -> list[RealPoly]:
         raise OddDegree(f"degree {deg} is odd")
     if deg == 0:
         return []
-    roots = real_roots_complex(n)
-    reals = sorted(float(r.real) for r in roots if abs(r.imag) <= _IM_TOL)
-    uppers = sorted((r for r in roots if r.imag > _IM_TOL), key=lambda r: (r.real, r.imag))
-    lowers = [r for r in roots if r.imag < -_IM_TOL]
     quads: list[RealPoly] = []
     reps: list[complex] = []
-    for u in uppers:
-        if not lowers:
-            raise NotNonnegative("unpaired complex root, polynomial is not real or not nonnegative")
-        j = int(np.argmin([abs(np.conj(u) - v) for v in lowers]))
-        v = lowers.pop(j)
-        b = -(u + v).real
-        c0 = (u * v).real
-        quads.append(RealPoly((c0, b, 1.0)))
-        reps.append(complex((u.real + v.real) / 2.0, (u.imag - v.imag) / 2.0))
-    if len(reals) % 2 != 0:
-        raise NotNonnegative("a real root has odd multiplicity")
-    for i in range(0, len(reals), 2):
-        r1, r2 = reals[i], reals[i + 1]
-        if abs(r1 - r2) > _PAIR_GAP * (1.0 + abs(r1)):
-            raise NotNonnegative(f"real roots {r1:.6g} and {r2:.6g} cannot pair, odd multiplicities")
-        quads.append(RealPoly((r1 * r2, -(r1 + r2), 1.0)))
-        reps.append(complex((r1 + r2) / 2.0, 0.0))
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            if abs(reps[i] - reps[j]) < _CONDITION_SEP:
-                warnings.warn(
-                    "nearly coinciding quadratic factors, multiplicities are ill conditioned",
-                    NumericalConditionWarning,
-                    stacklevel=2,
-                )
-                break
-        else:
+    unpaired = 0
+    for z, k in root_clusters(n.coeffs):
+        if z.imag < -_IM_TOL:
+            unpaired -= k
             continue
-        break
-    quads = _refine_quadratic_clusters(n, quads)
+        if z.imag > _IM_TOL:
+            unpaired += k
+        elif k % 2 != 0:
+            raise NotNonnegative(f"real root {z.real:.6g} has odd multiplicity {k}")
+        else:
+            z, k = complex(z.real, 0.0), k // 2
+        quads.extend([RealPoly((abs(z) ** 2, -2.0 * z.real, 1.0))] * k)
+        reps.extend([z] * k)
+    if unpaired:
+        raise NotNonnegative("unpaired complex root, polynomial is not real or not nonnegative")
+    if any(abs(a - b) < _CONDITION_SEP for a, b in itertools.combinations(reps, 2)):
+        warnings.warn(
+            "nearly coinciding quadratic factors, multiplicities are ill conditioned",
+            NumericalConditionWarning,
+            stacklevel=2,
+        )
     quads.sort(key=lambda q: (round(q.coeff(1), 9), round(q.coeff(0), 9)))
     return quads
-
-
-def _refine_quadratic_clusters(n: RealPoly, quads: list[RealPoly]) -> list[RealPoly]:
-    """Newton polish of (possibly repeated) quadratic factors.
-
-    Roots of multiplicity k carry an eps**(1/k) error out of the eigenvalue
-    solver, so the clustering net is wide; a merge is kept only when the
-    refined power m**k actually divides n, otherwise the originals stand.
-    """
-    clusters: list[list[RealPoly]] = []
-    for q in quads:
-        for cluster in clusters:
-            if (q - cluster[0]).max_abs() <= 2e-2 * (1.0 + cluster[0].max_abs()):
-                cluster.append(q)
-                break
-        else:
-            clusters.append([q])
-    out: list[RealPoly] = []
-    for cluster in clusters:
-        k = len(cluster)
-        b0 = sum(q.coeff(1) for q in cluster) / k
-        c0 = sum(q.coeff(0) for q in cluster) / k
-        bc = np.array([b0, c0])
-        for _ in range(40):
-            rem = _rem_by_product(n, [RealPoly((bc[1], bc[0], 1.0))] * k)
-            r = np.array([rem.coeff(i) for i in range(2 * k)])
-            if np.max(np.abs(r)) <= 1e-14 * (1.0 + n.max_abs()):
-                break
-            jac = np.zeros((2 * k, 2))
-            for col, delta in enumerate((np.array([1e-7, 0.0]), np.array([0.0, 1e-7]))):
-                m2 = RealPoly((bc[1] + delta[1], bc[0] + delta[0], 1.0))
-                rem2 = _rem_by_product(n, [m2] * k)
-                r2 = np.array([rem2.coeff(i) for i in range(2 * k)])
-                jac[:, col] = (r2 - r) / 1e-7
-            step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-            if not np.all(np.isfinite(step)) or np.linalg.norm(step) > 1.0:
-                break
-            bc = bc + step
-            if np.linalg.norm(step) < 1e-15:
-                break
-        refined = RealPoly((bc[1], bc[0], 1.0))
-        before = _rem_by_product(n, cluster).max_abs()
-        after = _rem_by_product(n, [refined] * k).max_abs()
-        if after <= max(before, 1e-12 * (1.0 + n.max_abs())):
-            out.extend([refined] * k)
-        else:
-            out.extend(cluster)
-    return out
-
-
-def _rem_by_product(n: RealPoly, quads: list[RealPoly]) -> RealPoly:
-    prod = RP_ONE
-    for q in quads:
-        prod = prod * q
-    return n.divmod_by(prod)[1]
 
 
 def group_quadratics(ms: list[RealPoly], tol: float = 1e-7) -> list[tuple[RealPoly, int]]:

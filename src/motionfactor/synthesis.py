@@ -20,6 +20,7 @@ from .dualquat import (
     Pose,
     Quaternion,
     Rotation,
+    act_on_point,
     classify_generator,
     study_form,
 )
@@ -298,7 +299,10 @@ def kempe_linkage_for_curve(
         loops.append((left, right))
     ground = "+".join(sorted(["m0", "h1"]))
     tracer_link = "+".join(sorted([f"h{len(hs)}", f"m{len(hs)}"]))
-    linkage = assemble(loops, ground=ground, tracer=(tracer_link, (0.0, 0.0, 0.0)), tol=st.tol)
+    # the factors are those of the monic c * lead^-1: the point that draws the
+    # curve is the image of the origin under lead, nonzero when deg v = deg w
+    tracer = tuple(float(x) for x in act_on_point(c.poly.lead, (0.0, 0.0, 0.0), st.tol))
+    linkage = assemble(loops, ground=ground, tracer=(tracer_link, tracer), tol=st.tol)
     return linkage.with_notes(
         (f"curve motion factored with real multiplier {list(report.multiplier.coeffs)}",)
     )

@@ -114,6 +114,13 @@ class TestFactorGeneric:
         with pytest.raises(ValueError):
             factor_generic(c)
 
+    def test_non_monic_is_typed(self):
+        c = validate_motion(DQPoly.of([DualQuaternion(QI), DualQuaternion(Quaternion(2.0))]))
+        with pytest.raises(MotionFactorError):
+            all_factorizations(c)
+        with pytest.raises(MotionFactorError):
+            factor_generic(c)
+
 
 class TestAllFactorizations:
     def test_generic_quadratic_has_two(self, rng):
@@ -263,6 +270,20 @@ class TestBacktrackingGeneric:
         rep = factor_with_backtracking(c, SearchSettings(budget=2))
         assert rep.status in (SUCCESS, "needs_multiplier")
         assert any("budget" in d for d in rep.diagnostics)
+
+
+class TestProbeResidual:
+    def test_fixed_length_on_every_branch(self, rng):
+        # the family search appends this vector to a least-squares residual,
+        # whose length must not change from one evaluation to the next
+        h1, h2 = random_rotation_generator(rng), random_rotation_generator(rng)
+        m = norm_quadratic(random_rotation_generator(rng))
+        generic = product_of([h1, h2])
+        exact = DQPoly.from_real(m) * DQPoly.t_minus(h1)
+        nan = DQPoly(generic.coeffs[:1] + (DualQuaternion(Quaternion(float("nan"))),)
+                     + generic.coeffs[2:])
+        lengths = {len(factorization._probe_residual(q, m, 1e-9)) for q in (generic, exact, nan)}
+        assert lengths == {12}
 
 
 class TestFactorBounded:

@@ -24,6 +24,7 @@ from motionfactor.polyring import (
     quadratic_factors,
     real_roots_complex,
     right_divide,
+    root_clusters,
     validate_motion,
 )
 
@@ -298,6 +299,41 @@ class TestQuadraticFactors:
             for q in quads:
                 prod = prod * q
             assert (prod - target).max_abs() < 1e-7 * (1 + target.max_abs())
+
+
+class TestRootClusters:
+    Z1 = complex(0.7, 1.3)
+    Z2 = complex(-1.1, 0.4)
+
+    @staticmethod
+    def ascending(*roots):
+        return np.poly(roots)[::-1]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_single_cluster(self, k):
+        (z, mult), = root_clusters(self.ascending(*[self.Z1] * k))
+        assert mult == k
+        assert abs(z - self.Z1) < 1e-10
+
+    def test_two_clusters(self):
+        got = root_clusters(self.ascending(*[self.Z1] * 2, *[self.Z2] * 3))
+        assert sorted(mult for _, mult in got) == [2, 3]
+        for z, mult in got:
+            want = self.Z1 if mult == 2 else self.Z2
+            assert abs(z - want) < 1e-10
+
+    def test_squared_circle_norm(self):
+        # (t^2 + 1)^2: a remainder modulo (t - i)^2 has a vanishing leading
+        # coefficient at i but not next to it
+        got = sorted(root_clusters((1.0, 0.0, 2.0, 0.0, 1.0)), key=lambda zk: zk[0].imag)
+        assert [mult for _, mult in got] == [2, 2]
+        assert abs(got[0][0] + 1j) < 1e-12 and abs(got[1][0] - 1j) < 1e-12
+
+    def test_close_simple_roots_stay_apart(self):
+        # within the clustering net, but no double root: the merge is rejected
+        got = sorted(root_clusters(rp(1.01, -2.01, 1.0).coeffs), key=lambda zk: zk[0].real)
+        assert [mult for _, mult in got] == [1, 1]
+        assert abs(got[0][0] - 1.0) < 1e-12 and abs(got[1][0] - 1.01) < 1e-12
 
 
 class TestMaxRealFactor:

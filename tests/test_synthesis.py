@@ -32,7 +32,7 @@ from motionfactor.synthesis import (
     synthesize_bennett,
     translation_motion_from_curve,
 )
-from motionfactor.linkage import sample_configuration
+from motionfactor.linkage import rigidity_check, sample_configuration, trajectory
 
 from conftest import (
     coeff_residual,
@@ -244,6 +244,31 @@ class TestKempe:
         kempe_linkage_for_curve(v, RealPoly((1.0, 0.0, 1.0)))
         assert calls, "the spy saw no DQPoly product at all"
         assert inside == []
+
+    @staticmethod
+    def assert_traces(linkage, v, w):
+        ts = [-2.5, -0.7, 0.0, 0.3, 1.9]
+        got = trajectory(linkage, linkage.tracer[0], linkage.tracer[1], ts)
+        want = np.array([[vi(t) / w(t) for vi in v] for t in ts])
+        assert np.max(np.abs(got - want)) < 1e-9
+
+    def test_tracer_with_numerator_of_full_degree(self):
+        # deg v = deg w: the curve motion is not monic, and the tracer point
+        # must absorb the leading coefficient that monicizing splits off
+        v = (RealPoly((-4.0, 0.0, 1.0)), RealPoly((0.0, -2.0, 0.5)), RealPoly(()))
+        w = RealPoly((1.0, 0.0, 1.0))
+        self.assert_traces(kempe_linkage_for_curve(v, w), v, w)
+
+    def test_planar_quartic(self):
+        # w = (t^2 + 1) ((t - a)^2 + b^2): the multiplied motion has double
+        # primal roots at +-i
+        a, b = 0.4, 2.5
+        w = RealPoly.of(np.convolve([1.0, 0.0, 1.0], [a * a + b * b, -2.0 * a, 1.0]))
+        v = (RealPoly((1.2, -0.8, 0.3, 1.5, -1.1)), RealPoly((-0.6, 1.7, -1.4, 0.2, 0.9)),
+             RealPoly(()))
+        linkage = kempe_linkage_for_curve(v, w)
+        assert rigidity_check(linkage).passes()
+        self.assert_traces(linkage, v, w)
 
     def test_clashing_extra_joint_rejected(self):
         v = (RealPoly((-2.0,)), RealPoly((0.0, -2.0)), RealPoly(()))
