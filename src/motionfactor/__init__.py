@@ -10,12 +10,9 @@ from .dualquat import (
     Translation,
     act_on_point,
     classify_generator,
-    dq_mul,
-    dq_norm,
     normalize_pose,
     pose_distance,
     projective_residual,
-    quat_mul,
     study_form,
 )
 from .polyring import (

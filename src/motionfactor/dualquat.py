@@ -236,21 +236,6 @@ def dq_inverse_array(a: np.ndarray) -> np.ndarray:
     return pinv - dq_mul_array(dq_mul_array(pinv, dual), pinv)
 
 
-def quat_mul(a: Quaternion, b: Quaternion) -> Quaternion:
-    """Hamilton product of two quaternions."""
-    return a * b
-
-
-def dq_mul(a: DualQuaternion, b: DualQuaternion) -> DualQuaternion:
-    """Product in the dual quaternion ring (eps**2 = 0)."""
-    return a * b
-
-
-def dq_norm(h: DualQuaternion) -> DualNumber:
-    """Norm h*conj(h) as a dual number; its dual part is the Study defect."""
-    return h.norm()
-
-
 def act_on_point(h: DualQuaternion, point, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Apply the rigid displacement represented by h to a point of 3-space.
 

@@ -45,6 +45,10 @@ class NotMonic(MotionFactorError, ValueError):
     """Polynomial must be monic (leading coefficient one) for this operation."""
 
 
+class NotQuaternionPolynomial(MotionFactorError, ValueError):
+    """Polynomial has a nonzero dual part where a quaternion polynomial is required."""
+
+
 class NotNonnegative(MotionFactorError):
     """Real polynomial takes negative values on the real line."""
 

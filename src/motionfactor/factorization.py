@@ -19,6 +19,7 @@ import numpy as np
 
 from .config import DEFAULT_BUDGET, DEFAULT_FAMILY_SAMPLES, DEFAULT_TOL
 from .dualquat import (
+    DQ_STRUCTURE,
     DualQuaternion,
     Quaternion,
     Rotation,
@@ -32,6 +33,7 @@ from .errors import (
     NonInvertibleLeading,
     NotLinearMotion,
     NotMonic,
+    NotQuaternionPolynomial,
     Unbounded,
 )
 from .polyring import (
@@ -40,12 +42,13 @@ from .polyring import (
     RP_ONE,
     RealPoly,
     chain_product,
+    divide_linear,
     group_quadratics,
     max_real_factor,
-    norm_quadratic,
+    mod_quadratic,
+    norm_poly,
     quadratic_factors,
     real_roots_complex,
-    right_divide,
     root_clusters,
     validate_motion,
 )
@@ -80,9 +83,6 @@ class Factorization:
 
     def factor_array(self) -> np.ndarray:
         return np.array([h.as_array() for h in self.factors]).reshape(-1, 8)
-
-    def product(self) -> DQPoly:
-        return DQPoly.from_array(chain_product(self.factor_array()))
 
     def residual_against(self, c: DQPoly) -> float:
         """Largest coefficient of (t-h_1)...(t-h_n) - c * multiplier."""
@@ -170,15 +170,25 @@ class SearchSettings:
     seed: int = 0
 
 
+def _linear_zeros(r0: np.ndarray, r1: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Zeros h = -r1**-1 * r0 of linear remainders r0 + r1*t, shape (..., 8) each.
+
+    Every row must have a nonconstant remainder with invertible leading
+    coefficient; each bound is written so that a NaN fails it.
+    """
+    r1_size = np.max(np.abs(r1), axis=-1)
+    scale = 1.0 + np.maximum(np.max(np.abs(r0), axis=-1), r1_size)
+    if not np.all(r1_size > tol * scale):
+        raise ConstantRemainder("remainder is constant, no linear zero exists")
+    if not np.all(np.sum(r1[..., :4] ** 2, axis=-1) > tol * scale * scale):
+        raise NonInvertibleLeading("leading coefficient of the remainder is not invertible")
+    return -dq_mul_array(dq_inverse_array(r1), r0)
+
+
 def linear_zero(r: DQPoly, tol: float = DEFAULT_TOL) -> DualQuaternion:
     """Unique zero of a linear polynomial with invertible leading coefficient."""
-    scale = 1.0 + r.max_abs()
-    if r.degree < 1:
-        raise ConstantRemainder("remainder is constant, no linear zero exists")
-    r1 = r.coeff(1)
-    if r1.primal.norm() <= tol * scale * scale:
-        raise NonInvertibleLeading("leading coefficient of the remainder is not invertible")
-    return -(r1.inverse() * r.coeff(0))
+    r0, r1 = r.coeff(0).as_array(), r.coeff(1).as_array()
+    return DualQuaternion.from_array(_linear_zeros(r0, r1, tol))
 
 
 def _peel_level(d: np.ndarray, m: np.ndarray, limit: float,
@@ -188,32 +198,11 @@ def _peel_level(d: np.ndarray, m: np.ndarray, limit: float,
     Row i of d holds the ascending dual quaternion coefficients of one
     polynomial, shape (N, L+1, 8); row i of m holds (m0, m1) of the monic norm
     quadratic t**2 + m1*t + m0 to pull from its right, shape (N, 2).  Returns
-    the zeros h, shape (N, 8), and the quotients, shape (N, L, 8).  Applies the
-    checks of linear_zero and of the division by t - h to every row; each
-    bound is written so that a NaN fails it.
+    the zeros h, shape (N, 8), and the quotients, shape (N, L, 8).
     """
-    # m is real, hence central: reduce each of the 8 components modulo m
-    r = np.zeros((len(d), max(d.shape[1], 2), 8))
-    r[:, :d.shape[1]] = d
-    for k in range(r.shape[1] - 1, 1, -1):
-        r[:, k - 1] -= m[:, 1:2] * r[:, k]
-        r[:, k - 2] -= m[:, 0:1] * r[:, k]
-    r0, r1 = r[:, 0], r[:, 1]
-    r1_size = np.max(np.abs(r1), axis=1)
-    scale = 1.0 + np.maximum(np.max(np.abs(r0), axis=1), r1_size)
-    if not np.all(r1_size > tol * scale):
-        raise ConstantRemainder("remainder is constant, no linear zero exists")
-    if not np.all(np.sum(r1[:, :4] ** 2, axis=1) > tol * scale * scale):
-        raise NonInvertibleLeading("leading coefficient of the remainder is not invertible")
-    h = -dq_mul_array(dq_inverse_array(r1), r0)
-    # synthetic right division by t - h: q_(k-1) = d_k + q_k * h
-    deg = d.shape[1] - 1
-    quot = np.empty((len(d), deg, 8))
-    acc = d[:, deg]
-    for k in range(deg - 1, -1, -1):
-        quot[:, k] = acc
-        acc = d[:, k] + dq_mul_array(acc, h)
-    if not np.all(np.max(np.abs(acc), axis=1) <= limit):
+    h = _linear_zeros(*mod_quadratic(d, m), tol)
+    quot, rem = divide_linear(d, h)
+    if not np.all(np.max(np.abs(rem), axis=1) <= limit):
         raise ExceptionalCase("division by the computed linear factor left a remainder")
     return h, quot
 
@@ -305,25 +294,6 @@ def all_factorizations(c: MotionPolynomial) -> list[Factorization]:
 # Single linear factor with prescribed norm quadratic
 # ---------------------------------------------------------------------------
 
-def _lmat4(q: Quaternion) -> np.ndarray:
-    w, x, y, z = q.w, q.x, q.y, q.z
-    return np.array([
-        [w, -x, -y, -z],
-        [x, w, -z, y],
-        [y, z, w, -x],
-        [z, -y, x, w],
-    ])
-
-
-def _lmat8(h: DualQuaternion) -> np.ndarray:
-    out = np.zeros((8, 8))
-    p = _lmat4(h.primal)
-    out[:4, :4] = p
-    out[4:, 4:] = p
-    out[4:, :4] = _lmat4(h.dual)
-    return out
-
-
 def _solve_affine(a: np.ndarray, b: np.ndarray, scale: float):
     """Minimum norm solution and orthonormal nullspace basis of a*h = b."""
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
@@ -337,28 +307,25 @@ def _solve_affine(a: np.ndarray, b: np.ndarray, scale: float):
     return h0, nullspace, residual
 
 
-def _factor_system(c: DQPoly, m: RealPoly) -> tuple[np.ndarray, np.ndarray, float]:
+def _factor_system(c: np.ndarray, m: RealPoly) -> tuple[np.ndarray, np.ndarray, float]:
     """Linear system on the 8 coordinates of a factor zero with norm quadratic m.
 
-    A remainder that is negligible relative to c means m divides c exactly;
-    the division rows are then dropped instead of solving against noise.
+    c holds ascending coefficients, shape (L, 8).  A remainder that is
+    negligible relative to c means m divides c exactly; the division rows are
+    then dropped instead of solving against noise.
     """
     s = -m.coeff(1) / 2.0
     n = m.coeff(0)
-    _, r = right_divide(c, DQPoly.from_real(m))
-    r1, r0 = r.coeff(1), r.coeff(0)
-    scale = 1.0 + max(r1.max_abs(), r0.max_abs(), abs(s), abs(n))
-    e0 = np.zeros(8)
-    e0[0] = 1.0
-    e4 = np.zeros(8)
-    e4[4] = 1.0
-    trace_rows = np.vstack([e0, e4])
+    r0, r1 = mod_quadratic(c, m.as_array()[:2])
+    rem_size = np.max(np.abs([r0, r1]))
+    scale = 1.0 + max(rem_size, abs(s), abs(n))
+    trace_rows = np.eye(8)[[0, 4]]
     trace_rhs = np.array([s, 0.0])
-    rem_size = max(r1.max_abs(), r0.max_abs())
-    if rem_size <= 1e-8 * (1.0 + c.max_abs()):
+    if rem_size <= 1e-8 * (1.0 + np.max(np.abs(c))):
         return trace_rows, trace_rhs, scale
-    a = np.vstack([_lmat8(r1), trace_rows])
-    b = np.concatenate([-r0.as_array(), trace_rhs])
+    # rows of the left multiplication h -> r1 * h
+    a = np.vstack([np.einsum("i,ijk->kj", r1, DQ_STRUCTURE), trace_rows])
+    b = np.concatenate([-r0, trace_rhs])
     return a, b, scale
 
 
@@ -379,7 +346,7 @@ def solve_linear_factor(
         raise ValueError("norm factor must be monic")
     s = -m.coeff(1) / 2.0
     n = m.coeff(0)
-    a, b, scale = _factor_system(c, m)
+    a, b, scale = _factor_system(c.as_array(), m)
     feas_tol = 1e-7 * scale
 
     constraints: tuple[str, ...] = ()
@@ -469,19 +436,19 @@ def _remaining_after(groups: list[tuple[RealPoly, int]], idx: int) -> list[tuple
     return out
 
 
-def _probe_residual(quot: DQPoly, m: RealPoly, tol: float) -> np.ndarray:
-    """Infeasibility vector of extending the factorization of quot with norm m."""
-    s = -m.coeff(1) / 2.0
+def _factor_conditions(h: np.ndarray, m: RealPoly) -> np.ndarray:
+    """Norm, trace, Study and dual scalar conditions for t - h to have norm quadratic m."""
+    return np.array([h[:4] @ h[:4] - m.coeff(0), 2.0 * h[0] + m.coeff(1), h[:4] @ h[4:], h[4]])
+
+
+def _probe_residual(quot: np.ndarray, m: RealPoly, tol: float) -> np.ndarray:
+    """Infeasibility vector of extending the factorization of quot with norm m.
+
+    quot holds the ascending coefficients of a monic polynomial, shape (L, 8).
+    """
     n = m.coeff(0)
-    if quot.degree <= 1:
-        h = -quot.coeff(0)
-        quad = norm_quadratic(h)
-        return np.array([
-            h.dual.scalar(),
-            h.primal.dot(h.dual),
-            quad.coeff(0) - n,
-            quad.coeff(1) - m.coeff(1),
-        ])
+    if len(quot) <= 2:
+        return _factor_conditions(-quot[0], m)
     a, b, scale = _factor_system(quot, m)
     h0, _, res = _solve_affine(a, b, scale)
     if not math.isfinite(res):
@@ -496,12 +463,12 @@ def _probe_residual(quot: DQPoly, m: RealPoly, tol: float) -> np.ndarray:
     ])
 
 
-def _direction_starts(d: DQPoly) -> list[np.ndarray]:
+def _direction_starts(d: np.ndarray) -> list[np.ndarray]:
     """Candidate rotation axis directions suggested by the coefficient structure."""
     dirs = [np.array([0.0, 0.0, 1.0])]
     vecs = []
-    for coeff in d.coeffs:
-        for v in (coeff.primal.vec(), coeff.dual.vec()):
+    for coeff in d:
+        for v in (coeff[1:4], coeff[5:8]):
             ln = np.linalg.norm(v)
             if ln > 1e-9:
                 vecs.append(v / ln)
@@ -521,20 +488,13 @@ def _direction_starts(d: DQPoly) -> list[np.ndarray]:
     return uniq
 
 
-def _family_objective(d: DQPoly, fam: SolutionFamily, m: RealPoly, m_next: RealPoly | None, tol: float):
-    scale = 1.0 + d.max_abs()
-    s = -m.coeff(1) / 2.0
-    n = m.coeff(0)
+def _family_objective(d: np.ndarray, fam: SolutionFamily, m: RealPoly, m_next: RealPoly | None, tol: float):
+    scale = 1.0 + np.max(np.abs(d))
 
     def resid(lam: np.ndarray) -> np.ndarray:
-        h = fam.at(lam)
-        parts = [
-            np.array([h.primal.norm() - n, 2.0 * h.primal.scalar() - 2.0 * s,
-                      h.primal.dot(h.dual), h.dual.scalar()]) / scale
-        ]
-        quot, rem = right_divide(d, DQPoly.t_minus(h))
-        rem_arr = rem.coeff(0).as_array() if not rem.is_zero else np.zeros(8)
-        parts.append(rem_arr / scale)
+        h = fam.at(lam).as_array()
+        quot, rem = divide_linear(d, h)
+        parts = [_factor_conditions(h, m) / scale, rem / scale]
         if m_next is not None:
             parts.append(_probe_residual(quot, m_next, tol) / scale)
         out = np.concatenate(parts)
@@ -547,7 +507,7 @@ def _family_objective(d: DQPoly, fam: SolutionFamily, m: RealPoly, m_next: RealP
 
 
 def _family_candidates(
-    d: DQPoly,
+    d: np.ndarray,
     m: RealPoly,
     fam: SolutionFamily,
     remaining: list[tuple[RealPoly, int]],
@@ -563,7 +523,7 @@ def _family_candidates(
     dim = len(fam.basis)
     if dim == 0:
         return [fam.basepoint]
-    scale = 1.0 + d.max_abs()
+    scale = 1.0 + np.max(np.abs(d))
     rng = np.random.default_rng(settings.seed + 1)
 
     # near field starts first: the lookahead objective can decay toward
@@ -629,7 +589,7 @@ def _record(state: _SearchState, factors: list[DualQuaternion], tol: float) -> N
 
 
 def _dfs(
-    d: DQPoly,
+    d: np.ndarray,
     groups: list[tuple[RealPoly, int]],
     acc: list[DualQuaternion],
     state: _SearchState,
@@ -637,15 +597,15 @@ def _dfs(
 ) -> None:
     if state.truncated:
         return
-    if d.degree <= 0:
+    if len(d) <= 1:
         if not groups:
             _record(state, acc, settings.tol)
         return
-    if d.degree == 1:
-        _record(state, [-d.coeff(0)] + acc, settings.tol)
+    if len(d) == 2:
+        _record(state, [DualQuaternion.from_array(-d[0])] + acc, settings.tol)
         return
     for idx, (m, _) in enumerate(groups):
-        sol = solve_linear_factor(d, m, settings.tol)
+        sol = solve_linear_factor(DQPoly.from_array(d), m, settings.tol)
         remaining = _remaining_after(groups, idx)
         if isinstance(sol, NoSolution):
             continue
@@ -657,8 +617,8 @@ def _dfs(
         for h in candidates:
             if not state.spend():
                 return
-            quot, rem = right_divide(d, DQPoly.t_minus(h))
-            if rem.max_abs() > 1e-6 * (1.0 + d.max_abs()):
+            quot, rem = divide_linear(d, h.as_array())
+            if not np.max(np.abs(rem)) <= 1e-6 * (1.0 + np.max(np.abs(d))):
                 continue
             _dfs(quot, remaining, [h] + acc, state, settings)
 
@@ -871,7 +831,7 @@ def factor_with_backtracking(
     else:
         ms = quadratic_factors(cm.norm.monic(), st.tol)
         groups = group_quadratics(ms)
-        _dfs(cm.poly, groups, [], state, st)
+        _dfs(cm.poly.as_array(), groups, [], state, st)
     polished = [
         Factorization(_refine_factors(f.factors, cm.poly)) for f in state.results
     ]
@@ -962,34 +922,35 @@ def factor_bounded_with_multiplier(
     return FactorizationReport(NEEDS_MULTIPLIER, (), RP_ONE, tuple(diagnostics))
 
 
+def _check_quaternion_monic(p: DQPoly, what: str, tol: float) -> None:
+    if not np.max(np.abs(p.as_array()[:, 4:]), initial=0.0) <= tol * (1.0 + p.max_abs()):
+        raise NotQuaternionPolynomial(f"{what} has a nonzero dual part, not a quaternion polynomial")
+    if not p.is_monic(tol):
+        raise NotMonic(f"{what} must be monic")
+
+
 def factor_quaternion(p: DQPoly, tol: float = DEFAULT_TOL) -> Factorization:
     """Factor a monic quaternion polynomial into linear quaternion factors.
 
     When a norm quadratic divides the polynomial exactly, the canonical split
     with zero at s + sqrt(n - s**2) * k is used.
     """
+    norm, _ = norm_poly(p)  # raises NonFiniteCoefficient before the checks below see a NaN
+    _check_quaternion_monic(p, "polynomial", tol)
     scale = 1.0 + p.max_abs()
-    if max((q.max_abs() for q in p.dual_components()), default=0.0) > tol * scale:
-        raise ValueError("polynomial has nonzero dual part, not a quaternion polynomial")
-    if not p.is_monic(tol):
-        raise ValueError("polynomial must be monic")
-    norm = RealPoly()
-    for comp in p.primal_components():
-        norm = norm + comp * comp
-    d = p
-    factors: list[DualQuaternion] = []
+    d = p.as_array()
+    factors: list[np.ndarray] = []
     for m in quadratic_factors(norm.monic(), tol):
-        _, r = right_divide(d, DQPoly.from_real(m))
-        if r.max_abs() <= 1e-8 * scale:
-            u = _canonical_variety_point(-m.coeff(1) / 2.0, m.coeff(0))
-            h = u.conj()
+        r0, r1 = mod_quadratic(d, m.as_array()[:2])
+        if np.max(np.abs([r0, r1])) <= 1e-8 * scale:
+            h = _canonical_variety_point(-m.coeff(1) / 2.0, m.coeff(0)).conj().as_array()
         else:
-            h = linear_zero(r, tol)
+            h = _linear_zeros(r0, r1, tol)
         factors.insert(0, h)
-        d, rem = right_divide(d, DQPoly.t_minus(h))
-        if rem.max_abs() > 1e-6 * scale:
+        d, rem = divide_linear(d, h)
+        if not np.max(np.abs(rem)) <= 1e-6 * scale:
             raise ExceptionalCase("division by the computed linear factor left a remainder")
-    return Factorization(tuple(factors))
+    return _to_factorization([h.tolist() for h in factors])
 
 
 def right_multiply_and_factor(
@@ -1002,11 +963,7 @@ def right_multiply_and_factor(
     drawing curves.
     """
     st = settings or SearchSettings()
-    scale = 1.0 + h_poly.max_abs()
-    if max((q.max_abs() for q in h_poly.dual_components()), default=0.0) > st.tol * scale:
-        raise ValueError("right multiplier must be a quaternion polynomial")
-    if not h_poly.is_monic(st.tol):
-        raise ValueError("right multiplier must be monic")
+    _check_quaternion_monic(h_poly, "right multiplier", st.tol)
     target = validate_motion(c.poly * h_poly, st.tol)
     rep = factor_with_backtracking(target, st)
     note = (

@@ -199,9 +199,6 @@ class DQPoly:
     def primal_components(self) -> list[RealPoly]:
         return [self.component(i) for i in range(4)]
 
-    def dual_components(self) -> list[RealPoly]:
-        return [self.component(i) for i in range(4, 8)]
-
     def conj(self) -> "DQPoly":
         return DQPoly(tuple(c.conj() for c in self.coeffs))
 
@@ -230,23 +227,15 @@ class DQPoly:
 
     def eval_at(self, t0: float) -> DualQuaternion:
         """Evaluate at a real parameter; at infinity this is the leading coefficient."""
-        if self.is_zero:
-            return DualQuaternion()
-        if math.isinf(t0):
+        if not self.is_zero and math.isinf(t0):
             return self.lead
-        acc = DualQuaternion()
-        for c in reversed(self.coeffs):
-            acc = acc * t0 + c
-        return acc
+        return self.right_eval(DualQuaternion(Quaternion(t0)))
 
     def right_eval(self, h: DualQuaternion) -> DualQuaternion:
-        """Right evaluation sum(c_i * h**i), coefficients on the left."""
+        """Right evaluation sum(c_i * h**i), the remainder of the right division by t - h."""
         if self.is_zero:
             return DualQuaternion()
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * h + c
-        return acc
+        return DualQuaternion.from_array(divide_linear(self.as_array(), h.as_array())[1])
 
     def max_abs(self) -> float:
         return _max_or_nan(c.max_abs() for c in self.coeffs)
@@ -287,6 +276,38 @@ def chain_product(hs: np.ndarray) -> np.ndarray:
     return out
 
 
+def mod_quadratic(d: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Remainder r0 + r1*t of polynomials modulo real monic quadratics t**2 + m1*t + m0.
+
+    d holds ascending dual quaternion coefficients, shape (..., L, 8), and m
+    holds (m0, m1), shape (..., 2).  A real divisor is central, so each of the
+    8 components is reduced on its own.  Returns r0 and r1, shape (..., 8) each.
+    """
+    r = np.zeros(d.shape[:-2] + (max(d.shape[-2], 2), 8))
+    r[..., :d.shape[-2], :] = d
+    for k in range(r.shape[-2] - 1, 1, -1):
+        r[..., k - 1, :] -= m[..., 1:2] * r[..., k, :]
+        r[..., k - 2, :] -= m[..., 0:1] * r[..., k, :]
+    return r[..., 0, :], r[..., 1, :]
+
+
+def divide_linear(d: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Right division of polynomials by t - h: d = quotient * (t - h) + remainder.
+
+    d holds ascending coefficients, shape (..., L, 8), and h the zeros, shape
+    (..., 8).  Returns the left quotients, shape (..., L - 1, 8), and the
+    remainders, shape (..., 8), which are the right evaluations sum(d_k * h**k).
+    """
+    deg = d.shape[-2] - 1
+    quot = np.empty(d.shape[:-2] + (deg, 8))
+    acc = d[..., deg, :]
+    for k in range(deg - 1, -1, -1):
+        # synthetic division: q_(k-1) = d_k + q_k * h
+        quot[..., k, :] = acc
+        acc = d[..., k, :] + dq_mul_array(acc, h)
+    return quot, acc
+
+
 def right_divide(c: DQPoly, d: DQPoly, tol: float = DEFAULT_TOL) -> tuple[DQPoly, DQPoly]:
     """Right division c = quotient * d + remainder with deg remainder < deg d."""
     if d.is_zero:
@@ -319,11 +340,10 @@ def norm_poly(c: DQPoly) -> tuple[RealPoly, RealPoly]:
     """
     if not np.isfinite(c.as_array()).all():
         raise NonFiniteCoefficient("polynomial has a NaN or infinite coefficient")
-    prim = c.primal_components()
-    dual = c.dual_components()
     re = RP_ZERO
     du = RP_ZERO
-    for p, q in zip(prim, dual):
+    for i in range(4):
+        p, q = c.component(i), c.component(4 + i)
         re = re + p * p
         du = du + p * q * 2.0
     return re, du

@@ -48,10 +48,10 @@ from .polyring import (
     RealPoly,
     chain_product,
     common_real_factor,
+    divide_linear,
     max_real_factor,
     norm_quadratic,
     real_roots_complex,
-    right_divide,
     validate_motion,
 )
 
@@ -196,16 +196,14 @@ def bennett_flip(
     q_h = norm_quadratic(h)
     if (q_prev - q_h).max_abs() <= 1e-7 * (1.0 + q_prev.max_abs()):
         raise DegenerateFlip("norm quadratics of the pair coincide")
-    x = DQPoly.from_array(chain_product(np.array([m_prev.as_array(), h.as_array()])))
-    sol = solve_linear_factor(x, q_prev, tol)
+    x = chain_product(np.array([m_prev.as_array(), h.as_array()]))
+    sol = solve_linear_factor(DQPoly.from_array(x), q_prev, tol)
     if not isinstance(sol, UniqueSolution):
         raise DegenerateFlip("flip does not have a unique solution")
-    m_new = sol.h
-    quot, rem = right_divide(x, DQPoly.t_minus(m_new))
-    if rem.max_abs() > 1e-7 * (1.0 + x.max_abs()) or quot.degree != 1:
+    quot, rem = divide_linear(x, sol.h.as_array())
+    if not np.max(np.abs(rem)) <= 1e-7 * (1.0 + np.max(np.abs(x))):
         raise DegenerateFlip("flip reconstruction failed")
-    k = -quot.coeff(0)
-    return FlipResult(k, m_new)
+    return FlipResult(DualQuaternion.from_array(-quot[0]), sol.h)
 
 
 def translation_motion_from_curve(

@@ -125,6 +125,18 @@ class TestFactor:
         assert report["status"] == "success"
         assert len(report["factorizations"][0]["factors"]) == 3
 
+    @pytest.mark.parametrize("coeffs, error", [
+        ([[0, 0, 0, 0, 0, 0, 0, 0], [2, 0, 0, 0, 0, 0, 0, 0]], "NotMonic"),
+        ([[0, 0, 0, -1, 0, 1, 0, 0], [1, 0, 0, 0, 0, 0, 0, 0]], "NotQuaternionPolynomial"),
+    ])
+    def test_bad_right_h_is_typed(self, tmp_path, capsys, coeffs, error):
+        hpath = write_json(tmp_path / "h.json", {"coeffs": coeffs})
+        code = main(["factor", ellipse_file(tmp_path), "--right-H", hpath])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert json.loads(captured.out)["error"] == error
+        assert "Traceback" not in captured.err + captured.out
+
 
 class TestSynth3:
     def test_three_random_poses(self, tmp_path, capsys, rng):

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from motionfactor.dualquat import (
     Rotation,
     classify_generator,
 )
-from motionfactor import factorization
+from motionfactor import factorization, polyring
 from motionfactor.errors import (
     ConstantRemainder,
     MotionFactorError,
@@ -45,6 +46,7 @@ from motionfactor.polyring import (
     quadratic_factors,
     validate_motion,
 )
+from motionfactor.synthesis import bennett_flip
 
 from conftest import (
     dq,
@@ -164,19 +166,33 @@ class TestAllFactorizations:
             assert f.residual_against(c.poly) < 1e-8
 
     def test_shared_suffix_divisions(self, rng, monkeypatch):
+        # the library divides on coefficient arrays only: the dataclass
+        # right_divide is a reference for tests and is never called, whichever
+        # module holds a reference to it
         c, _ = random_generic_motion(rng, 4)
         calls = []
-        divide = factorization.right_divide
+        divide = polyring.right_divide
 
         def counting(*args, **kwargs):
             calls.append(1)
             return divide(*args, **kwargs)
 
-        monkeypatch.setattr(factorization, "right_divide", counting)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "motionfactor" and getattr(module, "right_divide", None) is divide:
+                monkeypatch.setattr(module, "right_divide", counting)
         assert len(all_factorizations(c)) == 24
         # 4 + 12 + 24 + 24 peels of two divisions each; one peel per order
         # and factor would take 4 * 24 * 2 = 192
         assert len(calls) <= 2 * 64
+        c2, _ = random_generic_motion(rng, 2)
+        cr = validate_motion(c2.poly * RealPoly((1.0, 0.0, 1.0)))
+        assert factor_with_backtracking(cr, SearchSettings(budget=4000)).status == SUCCESS
+        qs = [DualQuaternion(Quaternion(*rng.normal(size=4))) for _ in range(3)]
+        assert len(factor_quaternion(product_of(qs)).factors) == 3
+        linear_zero(DQPoly.of([DualQuaternion(QI * -2.0), DualQuaternion(Quaternion(2.0))]))
+        bennett_flip(random_rotation_generator(rng), random_rotation_generator(rng))
+        product_of(qs).right_eval(random_rotation_generator(rng))
+        assert calls == []
 
     def test_level_batched_peels(self, rng, monkeypatch):
         c, _ = random_generic_motion(rng, 4)
@@ -282,7 +298,8 @@ class TestProbeResidual:
         exact = DQPoly.from_real(m) * DQPoly.t_minus(h1)
         nan = DQPoly(generic.coeffs[:1] + (DualQuaternion(Quaternion(float("nan"))),)
                      + generic.coeffs[2:])
-        lengths = {len(factorization._probe_residual(q, m, 1e-9)) for q in (generic, exact, nan)}
+        lengths = {len(factorization._probe_residual(q.as_array(), m, 1e-9))
+                   for q in (generic, exact, nan)}
         assert lengths == {12}
 
 

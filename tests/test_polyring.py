@@ -18,7 +18,9 @@ from motionfactor.polyring import (
     RealPoly,
     chain_product,
     common_real_factor,
+    divide_linear,
     max_real_factor,
+    mod_quadratic,
     norm_poly,
     norm_quadratic,
     quadratic_factors,
@@ -213,6 +215,28 @@ class TestRightDivision:
         d = DQPoly.of([DQ_ONE, DualQuaternion(Quaternion(), QJ)])
         with pytest.raises(NonInvertibleDivisorLeading):
             right_divide(DQPoly.of([1.0, 0.0, 1.0]), d)
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+    def test_array_kernels_match_right_divide(self, rng, degree):
+        cs = rng.normal(size=(3, degree + 1, 8))
+        ms = rng.normal(size=(3, 2))
+        hs = rng.normal(size=(3, 8))
+        quads, quots, rems = np.stack(mod_quadratic(cs, ms), axis=-2), *divide_linear(cs, hs)
+        for c_arr, m, h, quad, quot, rem in zip(cs, ms, hs, quads, quots, rems):
+            c = DQPoly.from_array(c_arr)
+            tol = 1e-10 * (1.0 + c.max_abs()) * (1.0 + np.max(np.abs(h))) ** degree
+            _, r = right_divide(c, DQPoly.of([m[0], m[1], 1.0]))
+            want = np.array([r.coeff(k).as_array() for k in range(2)])
+            assert np.max(np.abs(np.array(mod_quadratic(c_arr, m)) - want)) <= tol
+            q, r = right_divide(c, DQPoly.t_minus(DualQuaternion.from_array(h)))
+            want_q = np.array([q.coeff(k).as_array() for k in range(degree)])
+            got_q, got_r = divide_linear(c_arr, h)
+            assert np.max(np.abs(got_q - want_q)) <= tol
+            assert np.max(np.abs(got_r - r.coeff(0).as_array())) <= tol
+            # the batched (N, L, 8) calls agree with the one-row calls
+            assert np.max(np.abs(quad - want)) <= tol
+            assert np.max(np.abs(quot - got_q)) <= tol
+            assert np.max(np.abs(rem - got_r)) <= tol
 
 
 class TestEvaluation:
