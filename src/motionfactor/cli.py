@@ -35,17 +35,12 @@ CONFIG_ENV = "MOTIONFACTOR_CONFIG"
 def _load_config(args) -> Config:
     path = os.environ.get(CONFIG_ENV)
     base = _read_json(path) if path else {}
+    flags = {"tolerance": args.tol, "backtrack_budget": args.budget,
+             "sample_count": args.samples, "seed": args.seed}
     try:
-        return Config(
-            tolerance=args.tol if args.tol is not None else base.get("tolerance", Config.tolerance),
-            backtrack_budget=args.budget if args.budget is not None else base.get(
-                "backtrack_budget", Config.backtrack_budget),
-            family_samples=base.get("family_samples", Config.family_samples),
-            sample_count=args.samples if args.samples is not None else base.get(
-                "sample_count", Config.sample_count),
-            seed=args.seed if args.seed is not None else base.get("seed", Config.seed),
-        )
-    except (AttributeError, TypeError, ValueError) as exc:  # AttributeError: file is not an object
+        # a file that is not an object, or a key that is not a field, is a TypeError
+        return Config(**{**base, **{k: v for k, v in flags.items() if v is not None}})
+    except (TypeError, ValueError) as exc:
         print(f"error: bad configuration: {exc}", file=sys.stderr)
         raise SystemExit(2)
 

@@ -25,9 +25,15 @@ class Config:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("backtrack_budget", "family_samples", "sample_count", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if not self.tolerance > 0:  # also rejects NaN
             raise ValueError("tolerance must be positive")
         if self.backtrack_budget <= 0:
             raise ValueError("backtrack budget must be positive")
+        if self.family_samples < 0:
+            raise ValueError("family samples must not be negative")
         if self.sample_count < 1:
             raise ValueError("sample count must be at least 1")

@@ -43,12 +43,6 @@ class DualNumber:
     re: float
     du: float = 0.0
 
-    def __add__(self, other: "DualNumber") -> "DualNumber":
-        return DualNumber(self.re + other.re, self.du + other.du)
-
-    def __sub__(self, other: "DualNumber") -> "DualNumber":
-        return DualNumber(self.re - other.re, self.du - other.du)
-
     def __mul__(self, other: "DualNumber") -> "DualNumber":
         return DualNumber(self.re * other.re, self.re * other.du + self.du * other.re)
 
@@ -116,9 +110,6 @@ class Quaternion:
 
     def max_abs(self) -> float:
         return _max_or_nan((abs(self.w), abs(self.x), abs(self.y), abs(self.z)))
-
-    def is_zero(self, tol: float = DEFAULT_TOL) -> bool:
-        return self.max_abs() <= tol
 
     def as_array(self) -> np.ndarray:
         return np.array([self.w, self.x, self.y, self.z])
@@ -309,6 +300,50 @@ def classify_generator(h: DualQuaternion, tol: float = DEFAULT_TOL) -> Generator
     raise NotLinearMotion("h is a real constant, t - h moves nothing")
 
 
+def _unit_orthogonal(n: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Unit vector orthogonal to the unit vector n, from a coordinate axis.
+
+    The axis is replaced by the y axis when it lies within about 25 degrees of n.
+    """
+    helper = np.eye(3)[axis]
+    if abs(float(np.dot(helper, n))) > 0.9:
+        helper = np.eye(3)[1]
+    u = helper - float(np.dot(helper, n)) * n
+    return u / np.linalg.norm(u)
+
+
+def planar_frame(
+    rows: np.ndarray, tol: float = 1e-8
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Orthonormal frame (u, v, n) of (m, 8) dual quaternions in one plane, or None.
+
+    Planar means every primal vector part is parallel to the unit normal n,
+    every dual part is a vector orthogonal to n, and no dual part has a scalar
+    component.  n is the first primal vector part; without one, it is the first
+    nonzero cross product of two dual vector parts, or else orthogonal to the
+    one dual direction.  u starts from the x axis and v = n x u.
+    """
+    scale = 1.0 + float(np.max(np.abs(rows), initial=0.0))
+    bound = tol * scale
+    if np.any(np.abs(rows[:, 4]) > bound):
+        return None
+    prim = rows[np.linalg.norm(rows[:, 1:4], axis=1) > bound, 1:4]
+    dual = rows[np.linalg.norm(rows[:, 5:8], axis=1) > bound, 5:8]
+    if len(prim):
+        n = prim[0] / np.linalg.norm(prim[0])
+    else:
+        crosses = (np.cross(a, b) for i, a in enumerate(dual) for b in dual[i + 1:])
+        n = next((c / np.linalg.norm(c) for c in crosses if np.linalg.norm(c) > bound * scale), None)
+        if n is None and len(dual):
+            n = _unit_orthogonal(dual[0] / np.linalg.norm(dual[0]), axis=2)
+    if n is None:
+        return None
+    if np.any(np.linalg.norm(np.cross(n, prim), axis=1) > bound) or np.any(np.abs(dual @ n) > bound):
+        return None
+    u = _unit_orthogonal(n)
+    return u, np.cross(n, u), n
+
+
 def study_form(a: DualQuaternion, b: DualQuaternion) -> float:
     """Symmetric bilinear form cutting out the Study quadric.
 
@@ -326,9 +361,6 @@ class Pose:
     """
 
     rep: DualQuaternion
-
-    def act(self, point, tol: float = DEFAULT_TOL) -> np.ndarray:
-        return act_on_point(self.rep, point, tol)
 
     def as_array(self) -> np.ndarray:
         return self.rep.as_array()

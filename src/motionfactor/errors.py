@@ -73,6 +73,10 @@ class UnboundedCurve(Unbounded):
     """Curve denominator has real roots."""
 
 
+class InvalidCurve(MotionFactorError, ValueError):
+    """Curve v/w has a zero denominator, deg v > deg w, or v and w share a real factor."""
+
+
 class FactorizationNotFound(MotionFactorError):
     """A pipeline step required a factorization that the search did not produce."""
 

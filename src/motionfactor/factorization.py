@@ -26,6 +26,7 @@ from .dualquat import (
     classify_generator,
     dq_inverse_array,
     dq_mul_array,
+    planar_frame,
 )
 from .errors import (
     ConstantRemainder,
@@ -627,60 +628,6 @@ def _dfs(
 # Planar subalgebra: exact factorization via complex linear algebra
 # ---------------------------------------------------------------------------
 
-def _planar_frame_of(d: DQPoly, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Orthonormal frame (u, v, n) of a planar polynomial, or None.
-
-    Planar means every primal vector part is parallel to the common axis
-    direction n, every dual part is a vector in the plane orthogonal to n,
-    and no dual part has a scalar component.
-    """
-    scale = 1.0 + d.max_abs()
-    prim, dual = [], []
-    for c in d.coeffs:
-        if abs(c.dual.scalar()) > tol * scale:
-            return None
-        pv = c.primal.vec()
-        qv = c.dual.vec()
-        if np.linalg.norm(pv) > tol * scale:
-            prim.append(pv)
-        if np.linalg.norm(qv) > tol * scale:
-            dual.append(qv)
-    n = None
-    if prim:
-        n = prim[0] / np.linalg.norm(prim[0])
-    else:
-        for i in range(len(dual)):
-            for j in range(i + 1, len(dual)):
-                cr = np.cross(dual[i], dual[j])
-                if np.linalg.norm(cr) > tol * scale * scale:
-                    n = cr / np.linalg.norm(cr)
-                    break
-            if n is not None:
-                break
-        if n is None and dual:
-            w0 = dual[0] / np.linalg.norm(dual[0])
-            helper = np.array([0.0, 0.0, 1.0])
-            if abs(float(np.dot(helper, w0))) > 0.9:
-                helper = np.array([0.0, 1.0, 0.0])
-            n = helper - float(np.dot(helper, w0)) * w0
-            n = n / np.linalg.norm(n)
-    if n is None:
-        return None
-    for pv in prim:
-        if np.linalg.norm(np.cross(n, pv)) > tol * scale:
-            return None
-    for qv in dual:
-        if abs(float(np.dot(n, qv))) > tol * scale:
-            return None
-    helper = np.array([1.0, 0.0, 0.0])
-    if abs(float(np.dot(helper, n))) > 0.9:
-        helper = np.array([0.0, 1.0, 0.0])
-    u = helper - float(np.dot(helper, n)) * n
-    u = u / np.linalg.norm(u)
-    v = np.cross(n, u)
-    return u, v, n
-
-
 def _distinct_sequences(clusters: list[tuple[complex, int]]) -> list[list[complex]]:
     """Every distinct ordering of the roots, each repeated by its multiplicity."""
     labels = [i for i, (_, k) in enumerate(clusters) for _ in range(k)]
@@ -709,12 +656,12 @@ def _lex_min_dual(w0: np.ndarray, nullspace: np.ndarray) -> np.ndarray:
 
 
 def _factor_planar(
-    d: DQPoly,
+    d: np.ndarray,
     frame: tuple[np.ndarray, np.ndarray, np.ndarray],
     state: "_SearchState",
     settings: SearchSettings,
 ) -> None:
-    """Exact factorization of a monic planar polynomial.
+    """Exact factorization of a monic planar polynomial with (m+1, 8) coefficients.
 
     In the plane the problem is commutative: the primal parts are the complex
     roots of the primal code in some order, and the dual parts solve a square
@@ -722,18 +669,11 @@ def _factor_planar(
     consistent systems yield solution families sampled like the search does.
     """
     u, v, n = frame
-    m = int(d.degree)
-    pcode = np.array([
-        complex(c.primal.scalar(), float(np.dot(c.primal.vec(), n))) for c in d.coeffs
-    ])
-    qcode = np.array([
-        complex(float(np.dot(c.dual.vec(), u)), -float(np.dot(c.dual.vec(), v)))
-        for c in d.coeffs
-    ])
+    m = len(d) - 1
+    pcode = d[:, 0] + 1j * (d[:, 1:4] @ n)
+    qcode = d[:, 5:8] @ u - 1j * (d[:, 5:8] @ v)
     rhs = -qcode[:m]
-    if len(rhs) < m:
-        rhs = np.concatenate([rhs, np.zeros(m - len(rhs), dtype=complex)])
-    scale = 1.0 + float(np.max(np.abs(qcode))) if len(qcode) else 1.0
+    scale = 1.0 + float(np.max(np.abs(qcode)))
     for seq in _distinct_sequences(root_clusters(pcode)):
         if not state.spend():
             return
@@ -745,9 +685,7 @@ def _factor_planar(
                     continue
                 zl = np.conj(seq[l]) if l < j else seq[l]
                 poly = np.convolve(poly, np.array([-zl, 1.0]))
-            if len(poly) < m:
-                poly = np.concatenate([poly, np.zeros(m - len(poly), dtype=complex)])
-            cols.append(poly[:m])
+            cols.append(poly)
         mat = np.column_stack(cols)
         w0, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
         if np.linalg.norm(mat @ w0 - rhs) > 1e-8 * scale:
@@ -763,13 +701,13 @@ def _factor_planar(
                 row = nullspace[i % nullspace.shape[0]]
                 step = (0.5 + 0.5 * (i // nullspace.shape[0])) * scale
                 w_candidates.append(base + step * (1j ** i) * row)
+        z = np.array(seq)
         for w in w_candidates:
-            factors = []
-            for zj, wj in zip(seq, w):
-                primal = Quaternion(zj.real, *(zj.imag * n))
-                dvec = wj.real * u - wj.imag * v
-                factors.append(DualQuaternion(primal, Quaternion(0.0, *dvec)))
-            _record(state, factors, settings.tol)
+            factors = np.zeros((m, 8))
+            factors[:, 0] = z.real
+            factors[:, 1:4] = z.imag[:, None] * n
+            factors[:, 5:8] = w.real[:, None] * u - w.imag[:, None] * v
+            _record(state, [DualQuaternion.from_array(h) for h in factors], settings.tol)
 
 
 def _refine_factors(factors: tuple[DualQuaternion, ...], target: DQPoly) -> tuple[DualQuaternion, ...]:
@@ -822,16 +760,17 @@ def factor_with_backtracking(
     diagnostics: list[str] = []
     cm = _ensure_monic(c, diagnostics, st.tol)
     state = _SearchState(target=cm.poly, budget=st.budget)
-    frame = _planar_frame_of(cm.poly)
+    d = cm.poly.as_array()
+    frame = planar_frame(d)
     if frame is not None:
         # planar inputs reduce to commutative complex algebra and are solved
         # exactly, covering the exceptional cases with real primal factors
         diagnostics.append("planar input solved in the complex subalgebra")
-        _factor_planar(cm.poly, frame, state, st)
+        _factor_planar(d, frame, state, st)
     else:
         ms = quadratic_factors(cm.norm.monic(), st.tol)
         groups = group_quadratics(ms)
-        _dfs(cm.poly.as_array(), groups, [], state, st)
+        _dfs(d, groups, [], state, st)
     polished = [
         Factorization(_refine_factors(f.factors, cm.poly)) for f in state.results
     ]

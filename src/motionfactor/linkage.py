@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import DEFAULT_SAMPLE_COUNT, DEFAULT_SAMPLE_RANGE, DEFAULT_TOL
-from .dualquat import DQ_ONE, DualQuaternion, Rotation, classify_generator, dq_mul_array
+from .dualquat import DQ_ONE, DualQuaternion, Rotation, classify_generator, dq_mul_array, planar_frame
 from .errors import (
     ClosureMismatch,
     ExceptionalPoint,
@@ -76,12 +76,6 @@ class Linkage:
     orientations: tuple[tuple[str, str, str], ...]  # joint id, from link, to link
     tracer: tuple[str, tuple[float, float, float]] | None = None
     notes: tuple[str, ...] = ()
-
-    def joint_links(self, joint_id: str) -> tuple[str, str]:
-        for jid, a, b in self.orientations:
-            if jid == joint_id:
-                return a, b
-        raise KeyError(joint_id)
 
     def with_notes(self, notes: tuple[str, ...]) -> "Linkage":
         return replace(self, notes=self.notes + notes)
@@ -510,30 +504,6 @@ def import_linkage(data: dict, tol: float = DEFAULT_TOL) -> Linkage:
     return linkage
 
 
-def _planar_frame(linkage: Linkage) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    normal = None
-    for j in linkage.graph.joints:
-        gen = classify_generator(j.generator, 1e-6)
-        if isinstance(gen, Rotation):
-            if normal is None:
-                normal = gen.direction
-            elif float(np.linalg.norm(np.cross(normal, gen.direction))) > 1e-8:
-                raise NotPlanar("rotation axes are not parallel")
-        elif normal is not None and abs(float(np.dot(gen.direction, normal))) > 1e-8:
-            raise NotPlanar("translation direction leaves the plane")
-    if normal is None:
-        raise NotPlanar("no rotation axis to define the drawing plane")
-    if normal[int(np.argmax(np.abs(normal)))] < 0:
-        normal = -normal
-    helper = np.array([1.0, 0.0, 0.0])
-    if abs(float(np.dot(helper, normal))) > 0.9:
-        helper = np.array([0.0, 1.0, 0.0])
-    e1 = helper - float(np.dot(helper, normal)) * normal
-    e1 = e1 / np.linalg.norm(e1)
-    e2 = np.cross(normal, e1)
-    return normal, e1, e2
-
-
 def export(linkage: Linkage, format: str = "json", options: dict | None = None) -> bytes:
     """Serialize a linkage: json (lossless), svg (planar only) or csv of joint paths.
 
@@ -563,13 +533,19 @@ def export(linkage: Linkage, format: str = "json", options: dict | None = None) 
 def _export_svg(linkage: Linkage, samples: list[float]) -> bytes:
     if not len(samples):
         raise ValueError("svg export needs at least one sample")
-    _, e1, e2 = _planar_frame(linkage)
+    joints = linkage.graph.joints
+    frame = planar_frame(np.array([j.generator.as_array() for j in joints]))
+    if frame is None or all(j.kind != "rotation" for j in joints):
+        raise NotPlanar("no common rotation axis direction defines a drawing plane")
+    e1, e2, normal = frame
+    if normal[int(np.argmax(np.abs(normal)))] < 0:
+        e2 = -e2
     cfg = forward_kinematics(linkage, samples)
 
     def project(p: np.ndarray) -> np.ndarray:
         return np.column_stack([p @ e1, p @ e2])
 
-    joint_paths = {j.id: project(cfg.joint_positions[j.id]) for j in linkage.graph.joints}
+    joint_paths = {j.id: project(cfg.joint_positions[j.id]) for j in joints}
     tracer_path = np.zeros((0, 2))
     if linkage.tracer is not None:
         link_id, point = linkage.tracer

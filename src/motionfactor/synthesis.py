@@ -22,6 +22,7 @@ from .dualquat import (
     Rotation,
     act_on_point,
     classify_generator,
+    planar_frame,
     study_form,
 )
 from .errors import (
@@ -29,12 +30,12 @@ from .errors import (
     DegeneratePoses,
     FactorizationNotFound,
     InsufficientFactorizations,
+    InvalidCurve,
     NonGenericConic,
     UnboundedCurve,
 )
 from .factorization import (
     SUCCESS,
-    Factorization,
     SearchSettings,
     UniqueSolution,
     all_factorizations,
@@ -217,16 +218,16 @@ def translation_motion_from_curve(
     """
     vx, vy, vz = v
     if w.is_zero:
-        raise ValueError("denominator is zero")
+        raise InvalidCurve("denominator is zero")
     if max(vx.degree, vy.degree, vz.degree) > w.degree:
-        raise ValueError("curve numerator degree exceeds denominator degree")
+        raise InvalidCurve("curve numerator degree exceeds denominator degree")
     roots = real_roots_complex(w)
     if any(abs(r.imag) <= 1e-6 * (1.0 + abs(r)) for r in roots):
         raise UnboundedCurve("denominator has a real root, the curve is unbounded")
     if any(not vi.is_zero for vi in (vx, vy, vz)):
         shared = common_real_factor([vx, vy, vz, w])
         if shared.degree > 0:
-            raise ValueError("numerator and denominator share a real polynomial factor")
+            raise InvalidCurve("numerator and denominator share a real polynomial factor")
     lead = w.lead
     wm = w * (1.0 / lead)
     vm = [vi * (1.0 / lead) for vi in (vx, vy, vz)]
@@ -241,17 +242,6 @@ def translation_motion_from_curve(
 
 
 DEFAULT_FLIP_JOINT = DualQuaternion(Quaternion(1.0, 0.0, 0.0, 1.0))  # norm t^2 - 2t + 2
-
-
-def _prefer_planar(facts: tuple[Factorization, ...]) -> Factorization:
-    """Pick a factorization with pairwise parallel axes when one exists."""
-    for f in facts:
-        dirs = [classify_generator(h).direction for h in f.factors]
-        if all(
-            float(np.linalg.norm(np.cross(dirs[0], d))) <= 1e-8 for d in dirs[1:]
-        ):
-            return f
-    return facts[0]
 
 
 def kempe_linkage_for_curve(
@@ -275,7 +265,9 @@ def kempe_linkage_for_curve(
             "no rotation only factorization found for the curve motion; "
             + " | ".join(report.diagnostics)
         )
-    hs = list(_prefer_planar(report.factorizations).factors)
+    facts = report.factorizations
+    planar = (f for f in facts if planar_frame(f.factor_array()) is not None)
+    hs = list(next(planar, facts[0]).factors)
     m0 = DEFAULT_FLIP_JOINT if m0 is None else m0
     if not isinstance(classify_generator(m0, st.tol), Rotation):
         raise DegenerateFlip("extra joint m0 must be a rotation")

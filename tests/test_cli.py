@@ -240,7 +240,10 @@ class TestCurve:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
-    @pytest.mark.parametrize("data", [{"sample_count": 0}, {"tolerance": "small"}, [1]])
+    @pytest.mark.parametrize("data", [
+        {"sample_count": 0}, {"tolerance": "small"}, [1], {"sample_count": 2.5},
+        {"backtrack_budget": True}, {"family_samples": -1}, {"tolerence": 1e-9},
+    ])
     def test_bad_configuration_file_exits_two(self, tmp_path, capsys, monkeypatch, rng, data):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(data))
@@ -251,6 +254,17 @@ class TestCurve:
             main(["factor", str(path)])
         assert err.value.code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("v, w", [
+        ([[1.0], [0.0], [0.0]], [0.0]),
+        ([[0.0, 0.0, 0.0, 1.0], [0.0], [0.0]], [1.0, 0.0, 1.0]),
+        ([[1.0, 0.0, 1.0], [2.0, 0.0, 2.0], [0.0]], [2.0, 0.0, 3.0, 0.0, 1.0]),
+    ], ids=["zero-denominator", "numerator-degree", "shared-factor"])
+    def test_invalid_curve_is_typed(self, tmp_path, capsys, v, w):
+        path = write_json(tmp_path / "curve.json", {"v": v, "w": w})
+        code, out = run(capsys, ["--out", str(tmp_path / "o"), "curve", str(path)])
+        assert code == 1
+        assert json.loads(out)["error"] == "InvalidCurve"
 
     def test_deterministic_output(self, tmp_path, capsys):
         path = write_json(tmp_path / "curve.json", {

@@ -16,6 +16,7 @@ from motionfactor.dualquat import (
     dq_inverse_array,
     dq_mul_array,
     normalize_pose,
+    planar_frame,
     pose_distance,
     study_form,
 )
@@ -25,9 +26,10 @@ from motionfactor.errors import (
     NotLinearMotion,
     NotOnStudyQuadric,
 )
+from motionfactor.factorization import all_factorizations
 from motionfactor.polyring import DQPoly
 
-from conftest import dq, random_rotation_generator
+from conftest import dq, random_generic_motion, random_rotation_generator
 
 
 class TestQuaternion:
@@ -248,3 +250,43 @@ class TestPose:
     def test_pose_distance_sign_invariant(self, rng):
         h = DualQuaternion(QI, QJ)
         assert pose_distance(h, h * (-3.0)) < 1e-12
+
+
+def assert_frame(frame, normal):
+    u, v, n = frame
+    assert np.allclose(np.array([u, v, n]) @ np.array([u, v, n]).T, np.eye(3))
+    assert np.allclose(np.cross(u, v), n)
+    assert np.linalg.norm(np.cross(n, normal)) < 1e-12
+
+
+class TestPlanarFrame:
+    def test_planar_polynomial(self, rng):
+        c, _ = random_generic_motion(rng, 3, planar=True)
+        assert_frame(planar_frame(c.poly.as_array()), (0.0, 0.0, 1.0))
+
+    def test_parallel_axis_joints(self, rng):
+        axis = np.array([1.0, 2.0, -2.0]) / 3.0
+        rows = np.array([random_rotation_generator(rng, axis).as_array() for _ in range(4)])
+        u, v, n = planar_frame(rows)
+        assert_frame((u, v, n), axis)
+        # n follows the first primal vector part, u starts from the x axis
+        assert np.dot(n, rows[0, 1:4]) > 0
+        assert np.allclose(u, np.array([8.0, -2.0, 2.0]) / np.sqrt(72.0))
+
+    def test_dual_only_translations(self):
+        rows = np.array([[1.0, 0, 0, 0, 0, 0.5, -1.0, 0.0], [2.0, 0, 0, 0, 0, 3.0, 1.0, 0.0]])
+        assert_frame(planar_frame(rows), (0.0, 0.0, 1.0))
+        # a single translation direction: n starts from the z axis
+        assert_frame(planar_frame(rows[:1]), (0.0, 0.0, 1.0))
+        assert_frame(planar_frame(np.array([[1.0, 0, 0, 0, 0, 0, 0, 2.0]])), (0.0, 1.0, 0.0))
+
+    def test_spatial_bennett_is_not_planar(self, rng):
+        c, _ = random_generic_motion(rng, 2)
+        f1, f2 = all_factorizations(c)[:2]
+        assert planar_frame(np.vstack([f1.factor_array(), f2.factor_array()])) is None
+
+    def test_constant_row_has_no_frame(self):
+        assert planar_frame(np.array([[1.0, 0, 0, 0, 0, 0, 0, 0]])) is None
+
+    def test_dual_scalar_part_is_not_planar(self):
+        assert planar_frame(np.array([[1.0, 0, 0, 1.0, 0.5, 1.0, 0, 0]])) is None
