@@ -18,6 +18,7 @@ from .errors import MotionFactorError
 from .factorization import (
     NO_FACTORIZATION,
     SUCCESS,
+    FactorizationReport,
     SearchSettings,
     all_factorizations,
     factor_bounded_with_multiplier,
@@ -26,7 +27,7 @@ from .factorization import (
     right_multiply_and_factor,
 )
 from .linkage import export, linkage_to_json
-from .polyring import DQPoly, RealPoly, max_real_factor, validate_motion
+from .polyring import DQPoly, RP_ONE, RealPoly, max_real_factor, validate_motion
 from .synthesis import kempe_linkage_for_curve, synthesize_bennett
 
 CONFIG_ENV = "MOTIONFACTOR_CONFIG"
@@ -105,27 +106,20 @@ def cmd_factor(args) -> int:
         motion = validate_motion(poly, cfg.tolerance)
         if args.all:
             monic, _ = motion.monicize(cfg.tolerance)
-            facts = all_factorizations(monic)
-            report = {
-                "status": SUCCESS if facts else NO_FACTORIZATION,
-                "multiplier": [1.0],
-                "factorizations": [f.to_json() for f in facts],
-                "diagnostics": ["enumerated permutations of the norm quadratics"],
-            }
+            facts = tuple(all_factorizations(monic))
+            note = ("enumerated permutations of the norm quadratics",)
+            rep = FactorizationReport(SUCCESS if facts else NO_FACTORIZATION, facts, RP_ONE, note)
         elif args.multiplier_deg is not None:
             rep = factor_bounded_with_multiplier(motion, max_deg=args.multiplier_deg, settings=st)
-            report = rep.to_json()
         elif args.right_h is not None:
             h_poly = _read_dqpoly(args.right_h)
             rep = right_multiply_and_factor(motion, h_poly, settings=st)
-            report = rep.to_json()
         else:
             rep = factor_with_backtracking(motion, st)
-            report = rep.to_json()
     except MotionFactorError as exc:
         return _fail({"status": "error", "error": type(exc).__name__, "detail": str(exc)})
-    print(json.dumps(report))
-    return 0 if report["status"] == SUCCESS else 1
+    print(json.dumps(rep.to_json()))
+    return 0 if rep.status == SUCCESS else 1
 
 
 def cmd_synth3(args) -> int:
@@ -179,6 +173,8 @@ def cmd_curve(args) -> int:
     if args.m0:
         try:
             m0 = DualQuaternion.from_array([float(x) for x in args.m0.split(",")])
+            if not all(math.isfinite(x) for x in m0.as_array()):
+                raise ValueError("--m0 coordinates must be finite")
         except ValueError as exc:
             print(f"error: malformed --m0: {exc}", file=sys.stderr)
             return 2

@@ -112,30 +112,29 @@ class UniqueSolution:
 
 @dataclass(frozen=True, eq=False)
 class SolutionFamily:
-    """Affine family basepoint + sum(params[i] * basis[i]) of factor candidates.
+    """Affine family basepoint + params @ basis of factor candidates.
 
-    When satisfied is False the stated residual constraints cut a nonlinear
-    subset out of the affine space instead of the whole space.
+    The basepoint is an (8,) array and the basis a (d, 8) array with
+    orthonormal rows.  When satisfied is False the stated residual
+    constraints cut a nonlinear subset out of the affine space instead of
+    the whole space.
     """
 
-    basepoint: DualQuaternion
-    basis: tuple[DualQuaternion, ...]
+    basepoint: np.ndarray
+    basis: np.ndarray
     constraints: tuple[str, ...]
     satisfied: bool
 
-    def at(self, params) -> DualQuaternion:
-        h = self.basepoint
-        for lam, b in zip(params, self.basis):
-            h = h + b * float(lam)
-        return h
+    def at(self, params) -> np.ndarray:
+        return self.basepoint + params @ self.basis
 
-    def params_of(self, h: DualQuaternion) -> np.ndarray:
-        """Coordinates of the projection of h onto the family (orthonormal basis)."""
-        delta = h.as_array() - self.basepoint.as_array()
-        return np.array([np.dot(b.as_array(), delta) for b in self.basis])
+    def params_of(self, h: np.ndarray) -> np.ndarray:
+        """Coordinates of the projection of the (8,) array h onto the family."""
+        return self.basis @ (h - self.basepoint)
 
     def distance_to(self, h: DualQuaternion) -> float:
-        return float(np.linalg.norm((self.at(self.params_of(h)) - h).as_array()))
+        x = h.as_array()
+        return float(np.linalg.norm(self.at(self.params_of(x)) - x))
 
 
 @dataclass(frozen=True, slots=True)
@@ -395,16 +394,14 @@ def solve_linear_factor(
     satisfied = not constraints
     if satisfied:
         lam, *_ = np.linalg.lstsq(vd.T, -h0[4:], rcond=None)
-        basepoint = DualQuaternion.from_array(h0 + nullspace.T @ lam)
+        basepoint = h0 + nullspace.T @ lam
     else:
         basepoint = _canonical_variety_point(s, n)
-    basis = tuple(DualQuaternion.from_array(v) for v in nullspace)
-    return SolutionFamily(basepoint, basis, constraints, satisfied)
+    return SolutionFamily(basepoint, nullspace, constraints, satisfied)
 
 
-def _canonical_variety_point(s: float, n: float) -> DualQuaternion:
-    rho = math.sqrt(max(n - s * s, 0.0))
-    return DualQuaternion(Quaternion(s, 0.0, 0.0, rho))
+def _canonical_variety_point(s: float, n: float) -> np.ndarray:
+    return np.array([s, 0.0, 0.0, math.sqrt(max(n - s * s, 0.0)), 0.0, 0.0, 0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -413,12 +410,12 @@ def _canonical_variety_point(s: float, n: float) -> DualQuaternion:
 
 @dataclass
 class _SearchState:
-    target: DQPoly
+    target: np.ndarray
     budget: int
     nodes: int = 0
     truncated: bool = False
     family_seen: bool = False
-    results: list[Factorization] = field(default_factory=list)
+    results: list[np.ndarray] = field(default_factory=list)
 
     def spend(self) -> bool:
         self.nodes += 1
@@ -493,7 +490,7 @@ def _family_objective(d: np.ndarray, fam: SolutionFamily, m: RealPoly, m_next: R
     scale = 1.0 + np.max(np.abs(d))
 
     def resid(lam: np.ndarray) -> np.ndarray:
-        h = fam.at(lam).as_array()
+        h = fam.at(lam)
         quot, rem = divide_linear(d, h)
         parts = [_factor_conditions(h, m) / scale, rem / scale]
         if m_next is not None:
@@ -513,8 +510,8 @@ def _family_candidates(
     fam: SolutionFamily,
     remaining: list[tuple[RealPoly, int]],
     settings: SearchSettings,
-    state: "_SearchState | None" = None,
-) -> list[DualQuaternion]:
+    state: _SearchState,
+) -> list[np.ndarray]:
     """Representatives of a solution family worth branching on.
 
     Solutions of a one step lookahead (parameters for which the next level
@@ -533,11 +530,10 @@ def _family_candidates(
     s = -m.coeff(1) / 2.0
     n = m.coeff(0)
     if not fam.satisfied:
+        rho = math.sqrt(max(n - s * s, 0.0))
         for direction in _direction_starts(d):
             for sign in (1.0, -1.0):
-                u = DualQuaternion(
-                    Quaternion(s, *(sign * math.sqrt(max(n - s * s, 0.0)) * direction))
-                )
+                u = np.concatenate([[s], sign * rho * direction, np.zeros(4)])
                 starts.append(fam.params_of(u))
     for step in (0.5, 1.0, 2.0 * scale):
         for i in range(dim):
@@ -548,19 +544,14 @@ def _family_candidates(
     if dim > 3:
         starts.extend(rng.normal(scale=scale, size=(8, dim)))
 
-    candidates: list[DualQuaternion] = []
-    targets: list[RealPoly | None]
-    if remaining:
-        targets = [mn for mn, _ in remaining]
-    else:
-        targets = [None]
-    for m_next in targets:
+    candidates: list[np.ndarray] = []
+    for m_next in [mn for mn, _ in remaining] or [None]:
         objective = _family_objective(d, fam, m, m_next, settings.tol)
         found = 0
         for lam0 in starts:
             # parameter solves are the expensive part of the search, so they
             # count against the node budget as well
-            if state is not None and not state.spend():
+            if not state.spend():
                 return candidates
             res = _least_squares()(objective, lam0, xtol=3e-16, ftol=3e-16, gtol=None, max_nfev=120)
             if float(np.linalg.norm(res.fun)) <= 1e-9:
@@ -576,23 +567,24 @@ def _family_candidates(
             lam[i % dim] = (0.5 + 0.5 * (i // dim)) * scale * (1 if i % 2 == 0 else -1)
             candidates.append(fam.at(lam))
 
-    uniq: list[DualQuaternion] = []
+    uniq: list[np.ndarray] = []
     for h in candidates:
-        if all((h - g).max_abs() > 1e-7 * scale for g in uniq):
+        if all(np.max(np.abs(h - g)) > 1e-7 * scale for g in uniq):
             uniq.append(h)
     return uniq
 
 
-def _record(state: _SearchState, factors: list[DualQuaternion], tol: float) -> None:
-    f = Factorization(tuple(factors))
-    if f.residual_against(state.target) <= 1e-5 * (1.0 + state.target.max_abs()):
-        state.results.append(f)
+def _record(state: _SearchState, hs: np.ndarray) -> None:
+    """Keep the (n, 8) factor chain hs when its product reconstructs the target."""
+    target = state.target
+    if np.max(np.abs(chain_product(hs) - target)) <= 1e-5 * (1.0 + np.max(np.abs(target))):
+        state.results.append(hs)
 
 
 def _dfs(
     d: np.ndarray,
     groups: list[tuple[RealPoly, int]],
-    acc: list[DualQuaternion],
+    acc: np.ndarray,
     state: _SearchState,
     settings: SearchSettings,
 ) -> None:
@@ -600,10 +592,10 @@ def _dfs(
         return
     if len(d) <= 1:
         if not groups:
-            _record(state, acc, settings.tol)
+            _record(state, acc)
         return
     if len(d) == 2:
-        _record(state, [DualQuaternion.from_array(-d[0])] + acc, settings.tol)
+        _record(state, np.vstack([-d[:1], acc]))
         return
     for idx, (m, _) in enumerate(groups):
         sol = solve_linear_factor(DQPoly.from_array(d), m, settings.tol)
@@ -611,17 +603,17 @@ def _dfs(
         if isinstance(sol, NoSolution):
             continue
         if isinstance(sol, UniqueSolution):
-            candidates = [sol.h]
+            candidates = [sol.h.as_array()]
         else:
             state.family_seen = True
             candidates = _family_candidates(d, m, sol, remaining, settings, state)
         for h in candidates:
             if not state.spend():
                 return
-            quot, rem = divide_linear(d, h.as_array())
+            quot, rem = divide_linear(d, h)
             if not np.max(np.abs(rem)) <= 1e-6 * (1.0 + np.max(np.abs(d))):
                 continue
-            _dfs(quot, remaining, [h] + acc, state, settings)
+            _dfs(quot, remaining, np.vstack([h, acc]), state, settings)
 
 
 # ---------------------------------------------------------------------------
@@ -707,19 +699,18 @@ def _factor_planar(
             factors[:, 0] = z.real
             factors[:, 1:4] = z.imag[:, None] * n
             factors[:, 5:8] = w.real[:, None] * u - w.imag[:, None] * v
-            _record(state, [DualQuaternion.from_array(h) for h in factors], settings.tol)
+            _record(state, factors)
 
 
-def _refine_factors(factors: tuple[DualQuaternion, ...], target: DQPoly) -> tuple[DualQuaternion, ...]:
-    """Polish a factor chain so the reconstruction holds to machine precision.
+def _refine_factors(hs: np.ndarray, goal: np.ndarray) -> np.ndarray:
+    """Polish an (n, 8) factor chain so its product matches goal to machine precision.
 
-    The chain has one factor per degree of the monic target, as every
+    The chain has one factor per degree of the monic goal, as every
     recorded factorization passed the reconstruction check.
     """
-    k = len(factors)
-    x0 = Factorization(factors).factor_array().ravel()
-    goal = target.as_array()
-    scale = 1.0 + target.max_abs()
+    k = len(hs)
+    x0 = hs.ravel()
+    scale = 1.0 + np.max(np.abs(goal))
 
     def resid(x: np.ndarray) -> np.ndarray:
         hs = x.reshape(k, 8)
@@ -731,11 +722,11 @@ def _refine_factors(factors: tuple[DualQuaternion, ...], target: DQPoly) -> tupl
 
     before = float(np.linalg.norm(resid(x0)))
     if before <= 1e-12:
-        return factors
+        return hs
     res = _least_squares()(resid, x0, xtol=3e-16, ftol=3e-16, gtol=None, max_nfev=80)
     if float(np.linalg.norm(res.fun)) >= before:
-        return factors
-    return tuple(DualQuaternion.from_array(res.x[8 * i: 8 * i + 8]) for i in range(k))
+        return hs
+    return res.x.reshape(k, 8)
 
 
 def _ensure_monic(c: MotionPolynomial, diagnostics: list[str], tol: float) -> MotionPolynomial:
@@ -759,8 +750,8 @@ def factor_with_backtracking(
     st = settings or SearchSettings()
     diagnostics: list[str] = []
     cm = _ensure_monic(c, diagnostics, st.tol)
-    state = _SearchState(target=cm.poly, budget=st.budget)
     d = cm.poly.as_array()
+    state = _SearchState(target=d, budget=st.budget)
     frame = planar_frame(d)
     if frame is not None:
         # planar inputs reduce to commutative complex algebra and are solved
@@ -770,11 +761,9 @@ def factor_with_backtracking(
     else:
         ms = quadratic_factors(cm.norm.monic(), st.tol)
         groups = group_quadratics(ms)
-        _dfs(d, groups, [], state, st)
-    polished = [
-        Factorization(_refine_factors(f.factors, cm.poly)) for f in state.results
-    ]
-    facts = _dedupe_factorizations(polished)
+        _dfs(d, groups, np.zeros((0, 8)), state, st)
+    chains = [_refine_factors(hs, d).tolist() for hs in state.results]
+    facts = _dedupe_factorizations([_to_factorization(hs) for hs in chains])
     if state.family_seen:
         diagnostics.append(
             "solution families encountered: infinitely many factorizations exist, "
@@ -882,7 +871,8 @@ def factor_quaternion(p: DQPoly, tol: float = DEFAULT_TOL) -> Factorization:
     for m in quadratic_factors(norm.monic(), tol):
         r0, r1 = mod_quadratic(d, m.as_array()[:2])
         if np.max(np.abs([r0, r1])) <= 1e-8 * scale:
-            h = _canonical_variety_point(-m.coeff(1) / 2.0, m.coeff(0)).conj().as_array()
+            h = _canonical_variety_point(-m.coeff(1) / 2.0, m.coeff(0))
+            h[3] = -h[3]
         else:
             h = _linear_zeros(r0, r1, tol)
         factors.insert(0, h)

@@ -336,17 +336,20 @@ def norm_poly(c: DQPoly) -> tuple[RealPoly, RealPoly]:
     The vector parts vanish identically: the terms c_i*conj(c_j) and
     c_j*conj(c_i) of one coefficient are conjugate, so their sum is scalar.
     The dual scalar part is the Study defect of the curve and vanishes
-    exactly when c is a motion polynomial.
+    exactly when c is a motion polynomial.  The products are summed untrimmed
+    and the sums trimmed once, so a small leading coefficient of one
+    component is not cut from its product on that product's own scale.
     """
     if not np.isfinite(c.as_array()).all():
         raise NonFiniteCoefficient("polynomial has a NaN or infinite coefficient")
-    re = RP_ZERO
-    du = RP_ZERO
+    re, du = np.zeros(2 * len(c.coeffs)), np.zeros(2 * len(c.coeffs))
     for i in range(4):
-        p, q = c.component(i), c.component(4 + i)
-        re = re + p * p
-        du = du + p * q * 2.0
-    return re, du
+        p, q = c.component(i).coeffs, c.component(4 + i).coeffs
+        if p:
+            re[:2 * len(p) - 1] += np.convolve(p, p)
+        if p and q:
+            du[:len(p) + len(q) - 1] += np.convolve(p, q) * 2.0
+    return RealPoly.of(re), RealPoly.of(du)
 
 
 @dataclass(frozen=True, slots=True)

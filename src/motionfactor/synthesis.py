@@ -259,6 +259,11 @@ def kempe_linkage_for_curve(
     """
     st = settings or SearchSettings()
     c = translation_motion_from_curve(v, w, st.tol)
+    if c.degree == 0:
+        raise InvalidCurve("curve is a single point: its motion has no factors")
+    m0 = DEFAULT_FLIP_JOINT if m0 is None else m0
+    if not isinstance(classify_generator(m0, st.tol), Rotation):
+        raise DegenerateFlip("extra joint m0 must be a rotation")
     report = factor_bounded_with_multiplier(c, settings=st)
     if report.status != SUCCESS:
         raise FactorizationNotFound(
@@ -268,9 +273,6 @@ def kempe_linkage_for_curve(
     facts = report.factorizations
     planar = (f for f in facts if planar_frame(f.factor_array()) is not None)
     hs = list(next(planar, facts[0]).factors)
-    m0 = DEFAULT_FLIP_JOINT if m0 is None else m0
-    if not isinstance(classify_generator(m0, st.tol), Rotation):
-        raise DegenerateFlip("extra joint m0 must be a rotation")
     q_m0 = norm_quadratic(m0)
     for h in hs:
         q_h = norm_quadratic(h)

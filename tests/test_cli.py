@@ -259,12 +259,23 @@ class TestCurve:
         ([[1.0], [0.0], [0.0]], [0.0]),
         ([[0.0, 0.0, 0.0, 1.0], [0.0], [0.0]], [1.0, 0.0, 1.0]),
         ([[1.0, 0.0, 1.0], [2.0, 0.0, 2.0], [0.0]], [2.0, 0.0, 3.0, 0.0, 1.0]),
-    ], ids=["zero-denominator", "numerator-degree", "shared-factor"])
+        ([[1.0], [0.0], [0.0]], [1.0]),
+    ], ids=["zero-denominator", "numerator-degree", "shared-factor", "constant"])
     def test_invalid_curve_is_typed(self, tmp_path, capsys, v, w):
         path = write_json(tmp_path / "curve.json", {"v": v, "w": w})
         code, out = run(capsys, ["--out", str(tmp_path / "o"), "curve", str(path)])
         assert code == 1
         assert json.loads(out)["error"] == "InvalidCurve"
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_m0_exits_two(self, tmp_path, capsys, bad):
+        path = write_json(tmp_path / "curve.json", {
+            "v": [[-4.0], [0.0, -2.0], [0.0]],
+            "w": [1.0, 0.0, 1.0],
+        })
+        argv = ["--out", str(tmp_path / "o"), "curve", str(path), "--m0", f"{bad},0,0,0,0,0,0,0"]
+        assert main(argv) == 2
+        assert "malformed --m0" in capsys.readouterr().err
 
     def test_deterministic_output(self, tmp_path, capsys):
         path = write_json(tmp_path / "curve.json", {

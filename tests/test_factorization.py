@@ -46,7 +46,7 @@ from motionfactor.polyring import (
     quadratic_factors,
     validate_motion,
 )
-from motionfactor.synthesis import bennett_flip
+from motionfactor.synthesis import bennett_flip, translation_motion_from_curve
 
 from conftest import (
     dq,
@@ -207,6 +207,23 @@ class TestAllFactorizations:
         assert len(all_factorizations(c)) == 24
         # one call per tree level; 64 peels where one per order and factor is 96
         assert rows == [4, 12, 24, 24]
+
+    def test_conjugated_quartic_with_small_vector_lead(self):
+        # a change of coordinates that turns the t^3 primal vector coefficient
+        # until its x part is 2e-5: the geometry and the 24 factorizations stay
+        c, _ = random_generic_motion(np.random.default_rng(0), 4)
+        v = c.poly.coeffs[-2].primal.as_array()[1:]
+        a, e = v / np.linalg.norm(v), 2e-5 / np.linalg.norm(v)
+        b = np.array([e, np.sqrt(1.0 - e * e), 0.0])
+        axis = np.cross(a, b)
+        half = 0.5 * np.arctan2(np.linalg.norm(axis), a @ b)
+        r = Quaternion(np.cos(half), *(np.sin(half) * axis / np.linalg.norm(axis)))
+        cc = DQPoly(tuple(DualQuaternion(r * k.primal * r.conj(), r * k.dual * r.conj())
+                          for k in c.poly.coeffs))
+        assert abs(cc.coeffs[-2].primal.x - 2e-5) < 1e-12
+        fs = all_factorizations(validate_motion(cc))
+        assert len(fs) == 24
+        assert max(f.residual_against(cc) for f in fs) < 1e-8
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_nan_coefficient_raises(self, rng, k):
@@ -388,3 +405,54 @@ class TestArrayChains:
         want = pairwise_dedupe(fs)
         assert 5 < len(want) < len(fs)
         assert [id(f) for f in got] == [id(f) for f in want]
+
+
+class TestSearchOnArrays:
+    def test_no_dual_quaternion_arithmetic_in_the_search(self, monkeypatch):
+        # the search keeps its factors as coefficient rows from start to end:
+        # DualQuaternion objects are built only for the returned factorizations
+        watched = {"_dfs", "_family_candidates", "_family_objective", "_record",
+                   "_refine_factors", "_factor_planar"}
+        t2p1 = RealPoly((1.0, 0.0, 1.0))
+        c, _ = random_generic_motion(np.random.default_rng(20240811), 2)
+        spatial = validate_motion(c.poly * t2p1)
+        ellipse = translation_motion_from_curve(
+            (RealPoly((-4.0,)), RealPoly((0.0, -2.0)), RealPoly(())), t2p1)
+        planar = validate_motion(ellipse.poly * t2p1)
+        calls, inside = [], []
+
+        def spying(name):
+            op = getattr(DualQuaternion, name)
+
+            def spy(self, other):
+                calls.append(name)
+                frame = sys._getframe(1)
+                while frame is not None:
+                    if frame.f_code.co_name in watched:
+                        inside.append((name, frame.f_code.co_name))
+                    frame = frame.f_back
+                return op(self, other)
+            return spy
+
+        for name in ("__add__", "__sub__", "__mul__"):
+            monkeypatch.setattr(DualQuaternion, name, spying(name))
+        reps = [factor_with_backtracking(spatial, SearchSettings(budget=4000)),
+                factor_with_backtracking(planar)]
+        assert [rep.status for rep in reps] == [SUCCESS, SUCCESS]
+        assert any("famil" in d for d in reps[0].diagnostics)
+        assert any("planar" in d for d in reps[1].diagnostics)
+        residual_reference(reps[0].factorizations[0], spatial.poly)
+        assert calls, "the spy saw no DualQuaternion arithmetic at all"
+        assert inside == []
+
+    def test_family_holds_arrays(self):
+        # the circular translation has a two parameter family of right factors
+        # with norm t^2 + 1: an (8,) basepoint and a (2, 8) orthonormal basis
+        c = DQPoly.of([dq(1, 0, 0, 0, 0, 1, 0, 0), dq(0, 0, 0, 0, 0, 0, 1, 0), DQ_ONE])
+        fam = factorization.solve_linear_factor(c, RealPoly((1.0, 0.0, 1.0)))
+        assert isinstance(fam, factorization.SolutionFamily)
+        assert fam.basepoint.shape == (8,) and fam.basis.shape == (2, 8)
+        lam = np.array([0.3, -0.7])
+        h = fam.at(lam)
+        assert np.allclose(fam.params_of(h), lam, atol=1e-12)
+        assert fam.distance_to(DualQuaternion.from_array(h)) < 1e-12

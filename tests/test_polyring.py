@@ -129,6 +129,22 @@ class TestNormPoly:
         assert (re - rp(1.0, 0.0, 2.0, 0.0, 1.0)).max_abs() < 1e-12
         assert du.is_zero
 
+    def test_small_lead_kept(self):
+        # the x component leads with 5e-5 next to coefficients of about 3: the
+        # lead 2.5e-9 of its square is under the trimming threshold of the
+        # square alone, yet a middle coefficient of the norm needs it
+        rows = np.zeros((3, 8))
+        rows[:, 0] = [3.1, -2.7, 1.0]
+        rows[:, 1] = [2.9, 5e-5, 0.0]
+        rows[:, 6] = [-3.2, 2.8, 0.0]
+        rows[:, 2] = [0.4, 1e-4, 0.0]
+        re, du = norm_poly(DQPoly.from_array(rows))
+        want_re = sum(np.convolve(rows[:, i], rows[:, i]) for i in range(4))
+        want_du = 2.0 * sum(np.convolve(rows[:, i], rows[:, 4 + i]) for i in range(4))
+        for got, want in ((re, want_re), (du, want_du)):
+            got = np.pad(got.coeffs, (0, len(want) - len(got.coeffs)))
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
     def test_multiplicative(self, rng):
         a = product_of([random_rotation_generator(rng) for _ in range(2)])
         b = product_of([random_rotation_generator(rng)])

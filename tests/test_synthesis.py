@@ -21,6 +21,7 @@ from motionfactor.errors import (
     DegenerateFlip,
     DegeneratePoses,
     InsufficientFactorizations,
+    MotionFactorError,
     UnboundedCurve,
 )
 from motionfactor.polyring import DQPoly, RealPoly, validate_motion
@@ -275,6 +276,19 @@ class TestKempe:
         w = RealPoly((1.0, 0.0, 1.0))
         with pytest.raises(DegenerateFlip):
             kempe_linkage_for_curve(v, w, m0=DualQuaternion(QK))
+
+    @pytest.mark.parametrize("m0", [DualQuaternion(Quaternion(), QI), DualQuaternion(Q_ONE)],
+                             ids=["translation", "constant"])
+    def test_extra_joint_checked_before_the_search(self, monkeypatch, m0):
+        import motionfactor.synthesis as synthesis
+
+        calls = []
+        monkeypatch.setattr(synthesis, "factor_bounded_with_multiplier",
+                            lambda *args, **kwargs: calls.append(1))
+        v = (RealPoly((-4.0,)), RealPoly((0.0, -2.0)), RealPoly(()))
+        with pytest.raises(MotionFactorError):
+            kempe_linkage_for_curve(v, RealPoly((1.0, 0.0, 1.0)), m0=m0)
+        assert calls == []
 
 
 class TestSixBar:
