@@ -272,32 +272,47 @@ class Translation:
 Generator = Rotation | Translation
 
 
+# the checks of generator_kinds, in the order they are made
+_NOT_LINEAR = ("dual part of h has a scalar component", "norm of t - h is not a real polynomial",
+               "h is a real constant, t - h moves nothing")
+# sums of the squares of the primal and the dual vector part of a row
+_VECTOR_PARTS = np.array([[0, 0], [1, 0], [1, 0], [1, 0], [0, 0], [0, 1], [0, 1], [0, 1]], dtype=float)
+
+
+def generator_kinds(rows: np.ndarray, tol: float = DEFAULT_TOL) -> list[str]:
+    """Kinds "rotation" or "translation" of t - h for the rows h of an (m, 8) array.
+
+    Raises NotLinearMotion when some t - h is not a motion polynomial or h is
+    a real constant; the first such row names its first failing check.  A row
+    with a NaN fails every bound and so ends as a real constant.
+    """
+    size = np.abs(rows)
+    scale = 1.0 + size.max(axis=1)
+    bound = tol * scale
+    lengths = np.sqrt(rows * rows @ _VECTOR_PARTS) > bound[:, None]
+    defect = 2.0 * (rows[:, :4] * rows[:, 4:]).sum(axis=1)
+    failed = np.array([size[:, 4] > bound, np.abs(defect) > bound * scale, ~lengths.any(axis=1)])
+    if failed.any():
+        raise NotLinearMotion(_NOT_LINEAR[failed[:, failed.any(axis=0).argmax()].argmax()])
+    return ["rotation" if r else "translation" for r in lengths[:, 0].tolist()]
+
+
 def classify_generator(h: DualQuaternion, tol: float = DEFAULT_TOL) -> Generator:
     """Classify the monic linear motion polynomial t - h.
 
     Returns a Rotation with the (unit direction, moment) of its fixed axis, or
-    a Translation with its unit direction.  Raises NotLinearMotion when t - h
-    is not a motion polynomial or h is a real constant.
+    a Translation with its unit direction.  The checks are those of
+    generator_kinds, which raises NotLinearMotion.
     """
-    scale = 1.0 + h.max_abs()
-    if abs(h.dual.scalar()) > tol * scale:
-        raise NotLinearMotion("dual part of h has a scalar component")
-    if abs(h.study_defect()) > tol * scale * scale:
-        raise NotLinearMotion("norm of t - h is not a real polynomial")
-    pv = h.primal.vec()
-    qv = h.dual.vec()
+    kind, = generator_kinds(h.as_array()[None], tol)
+    pv, qv = h.primal.vec(), h.dual.vec()
+    if kind == "translation":
+        return Translation(qv / float(np.linalg.norm(qv)))
+    # h = cos + sin*(d + eps*(d x a)) up to scale, so the classical
+    # Pluecker moment a x d is the negated dual vector part
     plen = float(np.linalg.norm(pv))
-    if plen > tol * scale:
-        # h = cos + sin*(d + eps*(d x a)) up to scale, so the classical
-        # Pluecker moment a x d is the negated dual vector part
-        direction = pv / plen
-        moment = -qv / plen
-        moment = moment - np.dot(direction, moment) * direction
-        return Rotation(direction, moment)
-    qlen = float(np.linalg.norm(qv))
-    if qlen > tol * scale:
-        return Translation(qv / qlen)
-    raise NotLinearMotion("h is a real constant, t - h moves nothing")
+    direction, moment = pv / plen, -qv / plen
+    return Rotation(direction, moment - np.dot(direction, moment) * direction)
 
 
 def _unit_orthogonal(n: np.ndarray, axis: int = 0) -> np.ndarray:

@@ -22,10 +22,9 @@ from .dualquat import (
     DQ_STRUCTURE,
     DualQuaternion,
     Quaternion,
-    Rotation,
-    classify_generator,
     dq_inverse_array,
     dq_mul_array,
+    generator_kinds,
     planar_frame,
 )
 from .errors import (
@@ -75,19 +74,30 @@ NO_FACTORIZATION = "no_factorization"
 NEEDS_MULTIPLIER = "needs_multiplier"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Factorization:
-    """Ordered linear factors with (t-h_1)...(t-h_n) = C * multiplier."""
+    """Ordered linear factors with (t-h_1)...(t-h_n) = C * multiplier.
 
-    factors: tuple[DualQuaternion, ...]
+    rows holds the h_i as an (n, 8) array; a tuple of DualQuaternions is converted.
+    """
+
+    rows: np.ndarray
     multiplier: RealPoly = RP_ONE
 
+    def __post_init__(self) -> None:
+        rows = self.rows if isinstance(self.rows, np.ndarray) else [h.as_array() for h in self.rows]
+        object.__setattr__(self, "rows", np.reshape(rows, (-1, 8)))
+
+    @property
+    def factors(self) -> tuple[DualQuaternion, ...]:
+        return tuple(DualQuaternion(Quaternion(*h[:4]), Quaternion(*h[4:])) for h in self.rows.tolist())
+
     def factor_array(self) -> np.ndarray:
-        return np.array([h.as_array() for h in self.factors]).reshape(-1, 8)
+        return self.rows
 
     def residual_against(self, c: DQPoly) -> float:
         """Largest coefficient of (t-h_1)...(t-h_n) - c * multiplier."""
-        prod, cs = chain_product(self.factor_array()), c.as_array()
+        prod, cs = chain_product(self.rows), c.as_array()
         diff = np.zeros((max(len(prod), len(cs) + len(self.multiplier.coeffs) - 1), 8))
         diff[:len(prod)] = prod
         for i, r in enumerate(self.multiplier.coeffs):
@@ -95,13 +105,13 @@ class Factorization:
         return float(np.max(np.abs(diff)))
 
     def kinds(self) -> tuple[str, ...]:
-        return tuple(classify_generator(h).kind for h in self.factors)
+        return tuple(generator_kinds(self.rows))
 
-    def to_json(self) -> dict:
+    def to_json(self, kinds: list[str] | None = None) -> dict:
         return {
-            "factors": [list(h.as_array()) for h in self.factors],
+            "factors": self.rows.tolist(),
             "multiplier": list(self.multiplier.coeffs),
-            "kinds": list(self.kinds()),
+            "kinds": generator_kinds(self.rows) if kinds is None else kinds,
         }
 
 
@@ -154,10 +164,13 @@ class FactorizationReport:
     diagnostics: tuple[str, ...] = ()
 
     def to_json(self) -> dict:
+        fs = self.factorizations
+        # one classification pass over the factors of every factorization
+        kinds = iter(generator_kinds(np.concatenate([np.zeros((0, 8))] + [f.rows for f in fs])))
         return {
             "status": self.status,
             "multiplier": list(self.multiplier.coeffs),
-            "factorizations": [f.to_json() for f in self.factorizations],
+            "factorizations": [f.to_json(list(itertools.islice(kinds, len(f.rows)))) for f in fs],
             "diagnostics": list(self.diagnostics),
         }
 
@@ -207,10 +220,6 @@ def _peel_level(d: np.ndarray, m: np.ndarray, limit: float,
     return h, quot
 
 
-def _to_factorization(hs: list[list[float]]) -> Factorization:
-    return Factorization(tuple(DualQuaternion(Quaternion(*h[:4]), Quaternion(*h[4:])) for h in hs))
-
-
 def factor_generic(c: MotionPolynomial, order: list[RealPoly] | None = None) -> Factorization:
     """Peel linear factors following the given order of monic norm quadratics.
 
@@ -225,12 +234,12 @@ def factor_generic(c: MotionPolynomial, order: list[RealPoly] | None = None) -> 
     d, factors = c.poly.as_array()[None], []
     for m in order:
         h, d = _peel_level(d, np.array([[m.coeff(0), m.coeff(1)]]), limit)
-        factors.insert(0, h[0].tolist())
-    return _to_factorization(factors)
+        factors.insert(0, h[0])
+    return Factorization(np.array(factors))
 
 
 def _factor_sort_key(f: Factorization):
-    return tuple(tuple(round(v, 9) for v in h.as_array()) for h in f.factors)
+    return tuple(tuple(round(v, 9) for v in h) for h in f.rows.tolist())
 
 
 def _unique_sorted(hs: np.ndarray, dedupe: bool, tol: float = 1e-7) -> np.ndarray:
@@ -256,7 +265,7 @@ def _dedupe_factorizations(fs: list[Factorization], tol: float = 1e-7) -> list[F
     """Factorizations of one length, near duplicates dropped, sorted by _factor_sort_key."""
     if not fs:
         return []
-    hs = np.array([f.factor_array() for f in fs])
+    hs = np.array([f.rows for f in fs])
     return [fs[i] for i in _unique_sorted(hs, True, tol)]
 
 
@@ -287,7 +296,7 @@ def all_factorizations(c: MotionPolynomial) -> list[Factorization]:
         left = left[rows]
         left[np.arange(len(rows)), quad] -= 1
     hs = hs[_unique_sorted(hs, any(cnt > 1 for _, cnt in groups))]
-    return [_to_factorization(f) for f in hs.tolist()]
+    return [Factorization(f) for f in hs]
 
 
 # ---------------------------------------------------------------------------
@@ -762,8 +771,7 @@ def factor_with_backtracking(
         ms = quadratic_factors(cm.norm.monic(), st.tol)
         groups = group_quadratics(ms)
         _dfs(d, groups, np.zeros((0, 8)), state, st)
-    chains = [_refine_factors(hs, d).tolist() for hs in state.results]
-    facts = _dedupe_factorizations([_to_factorization(hs) for hs in chains])
+    facts = _dedupe_factorizations([Factorization(_refine_factors(hs, d)) for hs in state.results])
     if state.family_seen:
         diagnostics.append(
             "solution families encountered: infinitely many factorizations exist, "
@@ -835,7 +843,7 @@ def factor_bounded_with_multiplier(
         rotations_only = []
         for f in rep.factorizations:
             try:
-                if all(isinstance(classify_generator(h, 1e-6), Rotation) for h in f.factors):
+                if all(k == "rotation" for k in generator_kinds(f.rows, 1e-6)):
                     rotations_only.append(replace(f, multiplier=r))
             except NotLinearMotion:
                 continue
@@ -879,7 +887,7 @@ def factor_quaternion(p: DQPoly, tol: float = DEFAULT_TOL) -> Factorization:
         d, rem = divide_linear(d, h)
         if not np.max(np.abs(rem)) <= 1e-6 * scale:
             raise ExceptionalCase("division by the computed linear factor left a remainder")
-    return _to_factorization([h.tolist() for h in factors])
+    return Factorization(np.array(factors))
 
 
 def right_multiply_and_factor(

@@ -190,7 +190,7 @@ class DQPoly:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else DualQuaternion()
 
     def is_monic(self, tol: float = DEFAULT_TOL) -> bool:
-        return (not self.is_zero) and (self.lead - DQ_ONE).max_abs() <= tol
+        return (not self.is_zero) and np.max(np.abs(self.lead.as_array() - DQ_ONE.as_array())) <= tol
 
     def component(self, i: int) -> RealPoly:
         """Real coefficient polynomial of basis element i (0..3 primal, 4..7 dual)."""

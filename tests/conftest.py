@@ -60,6 +60,27 @@ def random_rotation_generator(rng, axis_direction=None, scalar=None) -> DualQuat
     )
 
 
+def random_translation_generator(rng) -> DualQuaternion:
+    """Translation generator c + eps*v along a random direction."""
+    return DualQuaternion(Quaternion(rng.uniform(-1.5, 1.5)), Quaternion(0.0, *rng.normal(size=3)))
+
+
+def report_json_reference(rep) -> dict:
+    """Per-factor serializer of a FactorizationReport: one classify_generator call per factor."""
+    from motionfactor.dualquat import classify_generator
+
+    return {
+        "status": rep.status,
+        "multiplier": list(rep.multiplier.coeffs),
+        "factorizations": [{
+            "factors": [list(h.as_array()) for h in f.factors],
+            "multiplier": list(f.multiplier.coeffs),
+            "kinds": [classify_generator(h).kind for h in f.factors],
+        } for f in rep.factorizations],
+        "diagnostics": list(rep.diagnostics),
+    }
+
+
 def norm_quadratic(h: DualQuaternion) -> RealPoly:
     return RealPoly((h.primal.norm(), -2.0 * h.primal.scalar(), 1.0))
 

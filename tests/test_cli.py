@@ -1,3 +1,4 @@
+import collections
 import json
 import os
 import subprocess
@@ -6,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from motionfactor.cli import main
+from motionfactor import cli, dualquat, factorization, linkage, synthesis
+from motionfactor.cli import build_parser, main
 from motionfactor.dualquat import DualQuaternion
 from motionfactor.factorization import Factorization
 from motionfactor.polyring import RealPoly
@@ -101,6 +103,42 @@ class TestFactor:
         assert out.endswith("\n") and out.count("\n") == 1
         assert set(json.loads(out)) == {"status", "multiplier", "factorizations", "diagnostics"}
 
+    def test_all_classifies_every_factor_in_one_pass(self, tmp_path, capsys, monkeypatch, rng):
+        # the factors stay coefficient rows from the walk to the JSON: one
+        # generator_kinds call for all of them, and no DualQuaternion built
+        # after the input file is read (DQPoly holds its coefficients as ones)
+        c, _ = random_generic_motion(rng, 5)
+        path = write_json(tmp_path / "c.json", c.poly.to_json())
+        counts = collections.Counter()
+        reading = cli._read_dqpoly.__code__
+
+        def counting(name, fn):
+            def spy(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return spy
+
+        for module in (dualquat, factorization, synthesis, linkage):
+            for name in ("classify_generator", "generator_kinds"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        init = DualQuaternion.__init__
+
+        def counting_init(self, *args, **kwargs):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code is not reading:
+                frame = frame.f_back
+            counts["DualQuaternion read" if frame else "DualQuaternion"] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(DualQuaternion, "__init__", counting_init)
+        code, out = run(capsys, ["factor", path, "--all"])
+        assert code == 0 and len(json.loads(out)["factorizations"]) == 120
+        assert counts["classify_generator"] == 0
+        assert counts["generator_kinds"] == 1
+        assert counts["DualQuaternion"] == 0
+        assert counts["DualQuaternion read"] == len(c.poly.coeffs), "the spy missed the input"
+
     def test_ellipse_needs_multiplier(self, tmp_path, capsys):
         code, out = run(capsys, ["factor", ellipse_file(tmp_path)])
         assert code == 1
@@ -190,6 +228,18 @@ class TestCurve:
             assert os.path.exists(f)
         linkage = import_linkage(json.loads((out_dir / "linkage.json").read_text()))
         assert linkage.tracer is not None
+
+    def test_parser_built_once_without_shared_export_list(self, tmp_path, capsys):
+        # the parser is cached per process: an --export list of one call
+        # must not become the default of the next call
+        assert build_parser() is build_parser()
+        path = write_json(tmp_path / "curve.json", {"v": [[-4.0], [0.0, -2.0], [0.0]], "w": [1.0, 0.0, 1.0]})
+        first, second = tmp_path / "first", tmp_path / "second"
+        code, _ = run(capsys, ["--out", str(first), "curve", path, "--export", "svg", "--export", "json"])
+        assert code == 0 and sorted(os.listdir(first)) == ["linkage.json", "linkage.svg"]
+        code, out = run(capsys, ["--out", str(second), "curve", path])
+        assert code == 0 and os.listdir(second) == ["linkage.json"]
+        assert json.loads(out)["files"] == [str(second / "linkage.json")]
 
     def test_non_finite_curve_exits_two(self, tmp_path, capsys):
         path = write_json(tmp_path / "curve.json", {

@@ -15,6 +15,7 @@ from motionfactor.dualquat import (
     classify_generator,
     dq_inverse_array,
     dq_mul_array,
+    generator_kinds,
     normalize_pose,
     planar_frame,
     pose_distance,
@@ -29,7 +30,7 @@ from motionfactor.errors import (
 from motionfactor.factorization import all_factorizations
 from motionfactor.polyring import DQPoly
 
-from conftest import dq, random_generic_motion, random_rotation_generator
+from conftest import dq, random_generic_motion, random_rotation_generator, random_translation_generator
 
 
 class TestQuaternion:
@@ -225,6 +226,62 @@ class TestClassify:
             classify_generator(DualQuaternion(Quaternion(2.0)))  # real constant
         with pytest.raises(NotLinearMotion):
             classify_generator(dq(1, 1, 0, 0, 0, 1, 0, 0))  # study defect
+
+
+def _message(h: DualQuaternion) -> str:
+    with pytest.raises(NotLinearMotion) as info:
+        classify_generator(h)
+    return str(info.value)
+
+
+BAD_GENERATORS = {
+    "dual scalar part": DualQuaternion(Q_ONE, Q_ONE),
+    "study defect": dq(1, 1, 0, 0, 0, 1, 0, 0),
+    "dual scalar part and study defect": dq(1, 1, 0, 0, 1, 1, 0, 0),
+    "real constant": DualQuaternion(Quaternion(2.0)),
+    "nan row": dq(0, float("nan"), 0, 0, 0, 1, 0, 0),
+}
+
+
+class TestGeneratorKinds:
+    def test_matches_classify_generator(self, rng):
+        hs = [random_rotation_generator(rng) if rng.uniform() < 0.5 else random_translation_generator(rng)
+              for _ in range(200)]
+        want = [classify_generator(h).kind for h in hs]
+        assert 50 < want.count("translation") < 150
+        assert generator_kinds(np.array([h.as_array() for h in hs])) == want
+        for tol in (1e-6, 1e-12):
+            assert generator_kinds(np.array([h.as_array() for h in hs]), tol) == [
+                classify_generator(h, tol).kind for h in hs]
+
+    def test_no_rows(self):
+        assert generator_kinds(np.zeros((0, 8))) == []
+
+    @pytest.mark.parametrize("name", sorted(BAD_GENERATORS))
+    def test_bad_row_message(self, rng, name):
+        bad = BAD_GENERATORS[name]
+        rows = np.array([random_rotation_generator(rng).as_array(), bad.as_array()])
+        with pytest.raises(NotLinearMotion) as info:
+            generator_kinds(rows)
+        assert str(info.value) == _message(bad)
+
+    def test_each_row_names_its_first_failing_check(self):
+        messages = {name: _message(h) for name, h in BAD_GENERATORS.items()}
+        assert messages["dual scalar part and study defect"] == messages["dual scalar part"]
+        assert messages["nan row"] == messages["real constant"]
+        assert messages["dual scalar part"] == "dual part of h has a scalar component"
+        assert messages["study defect"] == "norm of t - h is not a real polynomial"
+        assert messages["real constant"] == "h is a real constant, t - h moves nothing"
+
+    @pytest.mark.parametrize("first, second", [("study defect", "dual scalar part"),
+                                               ("dual scalar part", "real constant"),
+                                               ("nan row", "study defect")])
+    def test_first_bad_row_wins(self, rng, first, second):
+        rows = np.array([random_translation_generator(rng).as_array(),
+                         BAD_GENERATORS[first].as_array(), BAD_GENERATORS[second].as_array()])
+        with pytest.raises(NotLinearMotion) as info:
+            generator_kinds(rows)
+        assert str(info.value) == _message(BAD_GENERATORS[first])
 
 
 class TestPose:

@@ -1,4 +1,5 @@
 import itertools
+import json
 import sys
 
 import numpy as np
@@ -26,6 +27,7 @@ from motionfactor.errors import (
 from motionfactor.factorization import (
     SUCCESS,
     Factorization,
+    FactorizationReport,
     SearchSettings,
     _dedupe_factorizations,
     _factor_sort_key,
@@ -55,6 +57,7 @@ from conftest import (
     product_of,
     random_generic_motion,
     random_rotation_generator,
+    report_json_reference,
     residual_reference,
 )
 
@@ -373,6 +376,33 @@ class TestReportSerialization:
             mult = RealPoly.of(fd["multiplier"])
             f = Factorization(tuple(factors), mult)
             assert f.residual_against(c.poly) < 1e-8
+
+    def test_report_matches_per_factor_serializer(self, rng):
+        reports = []
+        for degree in (2, 3, 4, 5):
+            c, _ = random_generic_motion(rng, degree)
+            reports.append(FactorizationReport(SUCCESS, tuple(all_factorizations(c))))
+        c, _ = random_generic_motion(rng, 3)
+        reports.append(factor_with_backtracking(c))
+        t2p1 = RealPoly((1.0, 0.0, 1.0))
+        ellipse = translation_motion_from_curve(
+            (RealPoly((-4.0,)), RealPoly((0.0, -2.0)), RealPoly(())), t2p1)
+        reports.append(factor_bounded_with_multiplier(ellipse))
+        assert reports[-1].multiplier.degree == 2
+        # factorizations of different lengths in one report
+        reports.append(FactorizationReport(SUCCESS, reports[0].factorizations + reports[1].factorizations))
+        for rep in reports:
+            assert rep.status == SUCCESS and rep.factorizations
+            want = report_json_reference(rep)
+            assert rep.to_json() == want
+            assert json.dumps(rep.to_json()) == json.dumps(want)
+
+    def test_tuple_of_dual_quaternions_becomes_rows(self, rng):
+        hs = [random_rotation_generator(rng) for _ in range(3)]
+        f = Factorization(tuple(hs))
+        assert f.rows.shape == (3, 8) and f.factor_array() is f.rows
+        assert f.factors == tuple(hs)
+        assert Factorization(()).rows.shape == (0, 8)
 
 
 class TestArrayChains:
