@@ -10,6 +10,7 @@ from .dualquat import (
     Translation,
     act_on_point,
     classify_generator,
+    generator_axes,
     generator_kinds,
     normalize_pose,
     pose_distance,

@@ -1,8 +1,9 @@
 """Command line interface: validate, factor, synth3 and curve.
 
 Exit codes: 0 on success, 1 on a domain failure (a JSON diagnostic is printed
-to stdout), 2 on usage or parse errors.  All commands are deterministic given
-input, configuration and seed.
+to stdout), 2 on usage or parse errors.  main is the one boundary that turns
+a MotionFactorError into the command's JSON diagnostic.  All commands are
+deterministic given input, configuration and seed.
 """
 from __future__ import annotations
 
@@ -74,18 +75,10 @@ def _read_dqpoly(path: str) -> DQPoly:
         raise SystemExit(2)
 
 
-def _fail(payload: dict) -> int:
-    print(json.dumps(payload))
-    return 1
-
-
 def cmd_validate(args) -> int:
     cfg = _load_config(args)
     poly = _read_dqpoly(args.input)
-    try:
-        motion = validate_motion(poly, cfg.tolerance)
-    except MotionFactorError as exc:
-        return _fail({"valid": False, "error": type(exc).__name__, "detail": str(exc)})
+    motion = validate_motion(poly, cfg.tolerance)
     primal_factor = max_real_factor(poly)
     report = {
         "valid": True,
@@ -103,22 +96,18 @@ def cmd_factor(args) -> int:
     cfg = _load_config(args)
     st = _settings(cfg)
     poly = _read_dqpoly(args.input)
-    try:
-        motion = validate_motion(poly, cfg.tolerance)
-        if args.all:
-            monic, _ = motion.monicize(cfg.tolerance)
-            facts = tuple(all_factorizations(monic))
-            note = ("enumerated permutations of the norm quadratics",)
-            rep = FactorizationReport(SUCCESS if facts else NO_FACTORIZATION, facts, RP_ONE, note)
-        elif args.multiplier_deg is not None:
-            rep = factor_bounded_with_multiplier(motion, max_deg=args.multiplier_deg, settings=st)
-        elif args.right_h is not None:
-            h_poly = _read_dqpoly(args.right_h)
-            rep = right_multiply_and_factor(motion, h_poly, settings=st)
-        else:
-            rep = factor_with_backtracking(motion, st)
-    except MotionFactorError as exc:
-        return _fail({"status": "error", "error": type(exc).__name__, "detail": str(exc)})
+    motion = validate_motion(poly, cfg.tolerance)
+    if args.all:
+        monic, _ = motion.monicize(cfg.tolerance)
+        facts = tuple(all_factorizations(monic))
+        note = ("enumerated permutations of the norm quadratics",)
+        rep = FactorizationReport(SUCCESS if facts else NO_FACTORIZATION, facts, RP_ONE, note)
+    elif args.multiplier_deg is not None:
+        rep = factor_bounded_with_multiplier(motion, max_deg=args.multiplier_deg, settings=st)
+    elif args.right_h is not None:
+        rep = right_multiply_and_factor(motion, _read_dqpoly(args.right_h), settings=st)
+    else:
+        rep = factor_with_backtracking(motion, st)
     print(json.dumps(rep.to_json()))
     return 0 if rep.status == SUCCESS else 1
 
@@ -138,12 +127,9 @@ def cmd_synth3(args) -> int:
     except (TypeError, ValueError) as exc:
         print(f"error: malformed poses file: {exc}", file=sys.stderr)
         return 2
-    try:
-        poses = [normalize_pose(h, cfg.tolerance) for h in rows]
-        bennett = synthesize_bennett(*poses, tol=cfg.tolerance)
-        linkage = bennett.to_linkage(cfg.tolerance)
-    except MotionFactorError as exc:
-        return _fail({"error": type(exc).__name__, "detail": str(exc)})
+    poses = [normalize_pose(h, cfg.tolerance) for h in rows]
+    bennett = synthesize_bennett(*poses, tol=cfg.tolerance)
+    linkage = bennett.to_linkage(cfg.tolerance)
     out = {
         "fixed_axes": [list(h.as_array()) for h in bennett.fixed_axes],
         "moving_axes": [list(h.as_array()) for h in bennett.moving_axes],
@@ -179,19 +165,15 @@ def cmd_curve(args) -> int:
         except ValueError as exc:
             print(f"error: malformed --m0: {exc}", file=sys.stderr)
             return 2
-    try:
-        linkage = kempe_linkage_for_curve(v, w, m0=m0, settings=st)
-    except MotionFactorError as exc:
-        return _fail({"error": type(exc).__name__, "detail": str(exc)})
-    out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
-    formats = args.export or ["json"]
-    for fmt in formats:
-        path = os.path.join(out_dir, f"linkage.{fmt}")
+    linkage = kempe_linkage_for_curve(v, w, m0=m0, settings=st)
+    # every file's bytes exist before any file is opened, so a failed export leaves none
+    options = {"sample_count": cfg.sample_count}
+    files = [(os.path.join(args.out or ".", f"linkage.{fmt}"), export(linkage, fmt, options))
+             for fmt in args.export or ["json"]]
+    os.makedirs(args.out or ".", exist_ok=True)
+    for path, data in files:
         with open(path, "wb") as fh:
-            fh.write(export(linkage, fmt, {"sample_count": cfg.sample_count}))
-        written.append(path)
+            fh.write(data)
     summary = {
         "joint_count": len(linkage.graph.joints),
         "link_count": len(linkage.graph.links),
@@ -199,7 +181,7 @@ def cmd_curve(args) -> int:
         "ground": linkage.ground,
         "tracer": {"link": linkage.tracer[0], "point": list(linkage.tracer[1])},
         "notes": list(linkage.notes),
-        "files": written,
+        "files": [path for path, _ in files],
     }
     print(json.dumps(summary))
     return 0
@@ -220,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="validate a motion polynomial file")
     p.add_argument("input")
-    p.set_defaults(func=cmd_validate)
+    p.set_defaults(func=cmd_validate, error_head={"valid": False})
 
     p = sub.add_parser("factor", help="factor a motion polynomial")
     p.add_argument("input")
@@ -231,11 +213,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="search for a real multiplier up to this degree")
     group.add_argument("--right-H", dest="right_h", default=None,
                        help="file with a monic quaternion polynomial to right multiply")
-    p.set_defaults(func=cmd_factor)
+    p.set_defaults(func=cmd_factor, error_head={"status": "error"})
 
     p = sub.add_parser("synth3", help="three pose Bennett synthesis")
     p.add_argument("poses")
-    p.set_defaults(func=cmd_synth3)
+    p.set_defaults(func=cmd_synth3, error_head={})
 
     p = sub.add_parser("curve", help="build a linkage drawing a rational curve")
     p.add_argument("curve")
@@ -243,13 +225,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="extra joint as 8 comma separated numbers")
     p.add_argument("--export", action="append", choices=["json", "svg", "csv"],
                    default=None, help="output formats (repeatable)")
-    p.set_defaults(func=cmd_curve)
+    p.set_defaults(func=cmd_curve, error_head={})
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except MotionFactorError as exc:
+        print(json.dumps({**args.error_head, "error": type(exc).__name__, "detail": str(exc)}))
+        return 1
 
 
 if __name__ == "__main__":

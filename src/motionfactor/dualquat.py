@@ -246,15 +246,19 @@ def act_on_point(h: DualQuaternion, point, tol: float = DEFAULT_TOL) -> np.ndarr
 
 @dataclass(frozen=True, eq=False)
 class Rotation:
-    """Revolute generator: rotation about the line with these Pluecker coordinates."""
+    """Revolute generator: rotation about the line with this unit direction through this anchor.
+
+    moment is the Pluecker moment anchor x direction of the line.
+    """
 
     direction: np.ndarray
-    moment: np.ndarray
+    anchor: np.ndarray
     kind = "rotation"
+    moment = property(lambda self: np.cross(self.anchor, self.direction))
 
     def anchor_point(self) -> np.ndarray:
         """Point of the axis closest to the origin."""
-        return np.cross(self.direction, self.moment)
+        return self.anchor
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,22 +301,43 @@ def generator_kinds(rows: np.ndarray, tol: float = DEFAULT_TOL) -> list[str]:
     return ["rotation" if r else "translation" for r in lengths[:, 0].tolist()]
 
 
-def classify_generator(h: DualQuaternion, tol: float = DEFAULT_TOL) -> Generator:
-    """Classify the monic linear motion polynomial t - h.
+def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner products of the last axes, each bit-equal to np.dot of its two vectors."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
-    Returns a Rotation with the (unit direction, moment) of its fixed axis, or
-    a Translation with its unit direction.  The checks are those of
-    generator_kinds, which raises NotLinearMotion.
+
+def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross of (..., 3) arrays, bit-equal to it without its axis handling."""
+    return a[..., [1, 2, 0]] * b[..., [2, 0, 1]] - a[..., [2, 0, 1]] * b[..., [1, 2, 0]]
+
+
+def generator_axes(rows: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Kinds, (m, 3) unit directions and (m, 3) anchor points of t - h for the rows h of an (m, 8) array.
+
+    The kinds and checks are those of generator_kinds.  A rotation's anchor is
+    its axis point closest to the origin; a translation carries the origin.
     """
-    kind, = generator_kinds(h.as_array()[None], tol)
-    pv, qv = h.primal.vec(), h.dual.vec()
-    if kind == "translation":
-        return Translation(qv / float(np.linalg.norm(qv)))
+    kinds = generator_kinds(rows, tol)
+    return kinds, *_generator_lines(rows, np.array([k == "rotation" for k in kinds], dtype=bool))
+
+
+def _generator_lines(rows: np.ndarray, rotation: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit directions and anchor points of generators whose kinds are known."""
+    rotation = rotation.reshape(-1, 1)
+    vec = np.where(rotation, rows[:, 1:4], rows[:, 5:8])
+    length = np.sqrt(_dot_rows(vec, vec))[:, None]
+    directions = vec / length
     # h = cos + sin*(d + eps*(d x a)) up to scale, so the classical
     # Pluecker moment a x d is the negated dual vector part
-    plen = float(np.linalg.norm(pv))
-    direction, moment = pv / plen, -qv / plen
-    return Rotation(direction, moment - np.dot(direction, moment) * direction)
+    moment = -rows[:, 5:8] / length
+    moment = moment - _dot_rows(directions, moment)[:, None] * directions
+    return directions, np.where(rotation, _cross_rows(directions, moment), 0.0)
+
+
+def classify_generator(h: DualQuaternion, tol: float = DEFAULT_TOL) -> Generator:
+    """Rotation or Translation of the monic linear motion polynomial t - h: the one-row generator_axes."""
+    (kind,), (direction,), (anchor,) = generator_axes(h.as_array()[None], tol)
+    return Rotation(direction, anchor) if kind == "rotation" else Translation(direction)
 
 
 def _unit_orthogonal(n: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -347,16 +372,16 @@ def planar_frame(
     if len(prim):
         n = prim[0] / np.linalg.norm(prim[0])
     else:
-        crosses = (np.cross(a, b) for i, a in enumerate(dual) for b in dual[i + 1:])
+        crosses = (_cross_rows(a, b) for i, a in enumerate(dual) for b in dual[i + 1:])
         n = next((c / np.linalg.norm(c) for c in crosses if np.linalg.norm(c) > bound * scale), None)
         if n is None and len(dual):
             n = _unit_orthogonal(dual[0] / np.linalg.norm(dual[0]), axis=2)
     if n is None:
         return None
-    if np.any(np.linalg.norm(np.cross(n, prim), axis=1) > bound) or np.any(np.abs(dual @ n) > bound):
+    if np.any(np.linalg.norm(_cross_rows(n, prim), axis=1) > bound) or np.any(np.abs(dual @ n) > bound):
         return None
     u = _unit_orthogonal(n)
-    return u, np.cross(n, u), n
+    return u, _cross_rows(n, u), n
 
 
 def study_form(a: DualQuaternion, b: DualQuaternion) -> float:

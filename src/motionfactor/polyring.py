@@ -251,9 +251,14 @@ class DQPoly:
         return DQPoly.of(coeffs)
 
 
+def norm_quadratics(rows: np.ndarray) -> np.ndarray:
+    """Ascending coefficients |p|^2, -2*Re(p), 1 of the norms of t - h for the (m, 8) rows h = p + eps*q."""
+    return np.column_stack([np.sum(rows[:, :4] ** 2, axis=1), -2.0 * rows[:, 0], np.ones(len(rows))])
+
+
 def norm_quadratic(h: DualQuaternion) -> RealPoly:
-    """Norm t^2 - 2*Re(p)*t + |p|^2 of the linear motion polynomial t - h, h = p + eps*q."""
-    return RealPoly((h.primal.norm(), -2.0 * h.primal.scalar(), 1.0))
+    """Norm t^2 - 2*Re(p)*t + |p|^2 of the linear motion polynomial t - h: the one-row norm_quadratics."""
+    return RealPoly(tuple(norm_quadratics(h.as_array()[None])[0].tolist()))
 
 
 def chain_product(hs: np.ndarray) -> np.ndarray:

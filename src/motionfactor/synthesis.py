@@ -19,9 +19,8 @@ from .dualquat import (
     DualQuaternion,
     Pose,
     Quaternion,
-    Rotation,
     act_on_point,
-    classify_generator,
+    generator_kinds,
     planar_frame,
     study_form,
 )
@@ -51,7 +50,7 @@ from .polyring import (
     common_real_factor,
     divide_linear,
     max_real_factor,
-    norm_quadratic,
+    norm_quadratics,
     real_roots_complex,
     validate_motion,
 )
@@ -81,12 +80,13 @@ class BennettLinkage:
         return assemble([loop], tol=tol)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, eq=False)
 class FlipResult:
-    """Output of a flip: (t - m_prev)(t - h) = (t - k)(t - m)."""
+    """Output of a flip: (t - m_prev)(t - h) = (t - k)(t - m), with k and m the rows of a (2, 8) array."""
 
-    k: DualQuaternion
-    m: DualQuaternion
+    rows: np.ndarray
+    k = property(lambda self: DualQuaternion.from_array(self.rows[0]))
+    m = property(lambda self: DualQuaternion.from_array(self.rows[1]))
 
 
 def _rank_and_reps(poses: tuple[Pose, ...]) -> tuple[int, list[DualQuaternion]]:
@@ -183,28 +183,27 @@ def synthesize_bennett(
     return BennettLinkage((h1, k1), (h2, k2), c_mon, lead)
 
 
-def bennett_flip(
-    m_prev: DualQuaternion, h: DualQuaternion, tol: float = DEFAULT_TOL
-) -> FlipResult:
+def bennett_flip(m_prev, h, tol: float = DEFAULT_TOL) -> FlipResult:
     """Refactor (t - m_prev)(t - h) pulling the norm quadratic of m_prev first.
 
-    Returns (k, m) with (t - m_prev)(t - h) = (t - k)(t - m); the extraction
-    order swap moves the norm quadratic of m_prev onto the new right factor.
+    m_prev and h are DualQuaternions or their 8 coordinates.  Returns (k, m)
+    with (t - m_prev)(t - h) = (t - k)(t - m); the extraction order swap
+    moves the norm quadratic of m_prev onto the new right factor.
     """
-    classify_generator(m_prev, tol)
-    classify_generator(h, tol)
-    q_prev = norm_quadratic(m_prev)
-    q_h = norm_quadratic(h)
+    pair = np.array([g.as_array() if isinstance(g, DualQuaternion) else g for g in (m_prev, h)],
+                    dtype=float)
+    generator_kinds(pair, tol)
+    q_prev, q_h = (RealPoly(tuple(q)) for q in norm_quadratics(pair).tolist())
     if (q_prev - q_h).max_abs() <= 1e-7 * (1.0 + q_prev.max_abs()):
         raise DegenerateFlip("norm quadratics of the pair coincide")
-    x = chain_product(np.array([m_prev.as_array(), h.as_array()]))
+    x = chain_product(pair)
     sol = solve_linear_factor(DQPoly.from_array(x), q_prev, tol)
     if not isinstance(sol, UniqueSolution):
         raise DegenerateFlip("flip does not have a unique solution")
     quot, rem = divide_linear(x, sol.h.as_array())
     if not np.max(np.abs(rem)) <= 1e-7 * (1.0 + np.max(np.abs(x))):
         raise DegenerateFlip("flip reconstruction failed")
-    return FlipResult(DualQuaternion.from_array(-quot[0]), sol.h)
+    return FlipResult(np.array([-quot[0], sol.h.as_array()]))
 
 
 def translation_motion_from_curve(
@@ -261,8 +260,8 @@ def kempe_linkage_for_curve(
     c = translation_motion_from_curve(v, w, st.tol)
     if c.degree == 0:
         raise InvalidCurve("curve is a single point: its motion has no factors")
-    m0 = DEFAULT_FLIP_JOINT if m0 is None else m0
-    if not isinstance(classify_generator(m0, st.tol), Rotation):
+    m0 = (DEFAULT_FLIP_JOINT if m0 is None else m0).as_array()
+    if generator_kinds(m0[None], st.tol) != ["rotation"]:
         raise DegenerateFlip("extra joint m0 must be a rotation")
     report = factor_bounded_with_multiplier(c, settings=st)
     if report.status != SUCCESS:
@@ -272,23 +271,17 @@ def kempe_linkage_for_curve(
         )
     facts = report.factorizations
     planar = (f for f in facts if planar_frame(f.factor_array()) is not None)
-    hs = list(next(planar, facts[0]).factors)
-    q_m0 = norm_quadratic(m0)
+    hs = next(planar, facts[0]).rows
+    quads = norm_quadratics(np.vstack([m0, hs]))
+    if np.any(np.max(np.abs(quads[1:] - quads[0]), axis=1) <= 1e-7 * (1.0 + np.max(np.abs(quads[0])))):
+        raise DegenerateFlip("norm quadratic of m0 collides with a factor norm")
+    ms, ks = [m0], []
     for h in hs:
-        q_h = norm_quadratic(h)
-        if (q_m0 - q_h).max_abs() <= 1e-7 * (1.0 + q_m0.max_abs()):
-            raise DegenerateFlip("norm quadratic of m0 collides with a factor norm")
-    ms = [m0]
-    ks: list[DualQuaternion] = []
-    for h in hs:
-        flip = bennett_flip(ms[-1], h, st.tol)
-        ks.append(flip.k)
-        ms.append(flip.m)
-    loops = []
-    for i, h in enumerate(hs, start=1):
-        left = [(f"m{i-1}", ms[i - 1]), (f"h{i}", h)]
-        right = [(f"k{i}", ks[i - 1]), (f"m{i}", ms[i])]
-        loops.append((left, right))
+        k, m = bennett_flip(ms[-1], h, st.tol).rows
+        ks.append(k)
+        ms.append(m)
+    loops = [([(f"m{i-1}", ms[i - 1]), (f"h{i}", h)], [(f"k{i}", ks[i - 1]), (f"m{i}", ms[i])])
+             for i, h in enumerate(hs, start=1)]
     ground = "+".join(sorted(["m0", "h1"]))
     tracer_link = "+".join(sorted([f"h{len(hs)}", f"m{len(hs)}"]))
     # the factors are those of the monic c * lead^-1: the point that draws the
@@ -308,32 +301,18 @@ def six_bar_from_cubic(c: MotionPolynomial, tol: float = DEFAULT_TOL) -> Linkage
         raise InsufficientFactorizations(
             f"cubic admits {len(facts)} distinct factorization(s), need two to close a loop"
         )
-    hs, ks = facts[0].factors, facts[1].factors
-    left = [(f"h{i+1}", h) for i, h in enumerate(hs)]
-    right = [(f"k{i+1}", k) for i, k in enumerate(ks)]
+    left = [(f"h{i+1}", h) for i, h in enumerate(facts[0].rows)]
+    right = [(f"k{i+1}", k) for i, k in enumerate(facts[1].rows)]
     linkage = assemble([(left, right)], tol=tol)
-    axes = []
-    for h in list(hs) + list(ks):
-        gen = classify_generator(h, tol)
-        if isinstance(gen, Rotation):
-            axes.append((gen.direction, gen.anchor_point()))
-    if len(axes) == 6 and _axes_concurrent(axes):
+    rotations = all(j.kind == "rotation" for j in linkage.graph.joints)
+    if rotations and _axes_concurrent(linkage.graph.directions, linkage.graph.anchors):
         linkage = linkage.with_notes(("all axes concurrent: spherical special case",))
     return linkage
 
 
-def _axes_concurrent(axes: list[tuple[np.ndarray, np.ndarray]], tol: float = 1e-6) -> bool:
-    """True when one point lies on every axis (within tolerance)."""
-    rows = []
-    rhs = []
-    for d, a in axes:
-        proj = np.eye(3) - np.outer(d, d)
-        rows.append(proj)
-        rhs.append(proj @ a)
-    mat = np.vstack(rows)
-    vec = np.concatenate(rhs)
-    point, *_ = np.linalg.lstsq(mat, vec, rcond=None)
-    worst = max(
-        float(np.linalg.norm(np.cross(point - a, d))) for d, a in axes
-    )
+def _axes_concurrent(directions: np.ndarray, anchors: np.ndarray, tol: float = 1e-6) -> bool:
+    """True when one point lies on every axis (within tolerance), for (m, 3) directions and anchors."""
+    proj = np.eye(3) - directions[:, :, None] * directions[:, None, :]
+    point, *_ = np.linalg.lstsq(proj.reshape(-1, 3), (proj @ anchors[:, :, None]).reshape(-1), rcond=None)
+    worst = np.max(np.linalg.norm(np.cross(point - anchors, directions), axis=1))
     return worst <= tol * (1.0 + float(np.linalg.norm(point)))

@@ -177,3 +177,96 @@ def sympy_real_factor_oracle(component_coeffs: list[list[int]]):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+def forward_kinematics_reference(linkage, t_samples):
+    """Per-link forward kinematics: one dq_mul_array call per tree edge, loop factor and joint anchor.
+
+    A linkage.Configurations from the spanning tree walked link by link, with
+    every joint anchor from classify_generator at 1e-6; errors as
+    forward_kinematics raises them, for the first failing sample and its first
+    failing check.
+    """
+    import math
+
+    from motionfactor.dualquat import DQ_ONE, classify_generator, dq_mul_array
+    from motionfactor.errors import ExceptionalPoint, NotInGroup, NotOnStudyQuadric, SingularParameter
+    from motionfactor.linkage import Configurations
+
+    conj = np.array([1.0, -1.0, -1.0, -1.0, 1.0, -1.0, -1.0, -1.0])
+    eps_conj = np.array([1.0, -1.0, -1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
+
+    def act_rows(h, point):
+        x = np.zeros_like(h)
+        x[:, 0] = 1.0
+        x[:, 5:] = -np.asarray(point, dtype=float)
+        moved = dq_mul_array(dq_mul_array(h, x), h * eps_conj)
+        return -moved[:, 5:] / moved[:, :1]
+
+    def canonical_rows(h, t, fails):
+        pn = np.sum(h[:, :4] ** 2, axis=1)
+        scale = 1.0 + pn + np.sum(h[:, 4:] ** 2, axis=1)
+        defect = 2.0 * np.sum(h[:, :4] * h[:, 4:], axis=1)
+        fails.append((~(pn > 1e-6 * scale), lambda s: ExceptionalPoint(
+            f"primal part vanishes at t = {t[s]}, point lies in the exceptional 3-space")))
+        fails.append((~(np.abs(defect) <= 1e-6 * scale), lambda s: NotOnStudyQuadric(
+            f"Study defect {defect[s]:.3e} exceeds tolerance at t = {t[s]}")))
+        rep = h * (1.0 / np.sqrt(pn))[:, None]
+        lead = rep[np.arange(len(rep)), np.argmax(np.abs(rep[:, :4]), axis=1)]
+        rep[lead < 0.0] *= -1.0
+        return rep
+
+    t = np.asarray(t_samples, dtype=float).reshape(-1)
+    home = np.isinf(t)
+    fails = []
+    with np.errstate(all="ignore"):
+        quads = np.array([norm_quadratic(j.generator).coeffs for j in linkage.graph.joints])
+        c0, c1, c2 = quads.T[:, :, None]
+        near = ~(np.abs((c2 * t + c1) * t + c0) >= 1e-3 * (1.0 + t * t)).all(axis=0)
+        fails.append((~home & near, lambda s: SingularParameter(
+            f"t = {t[s]} is not a number" if math.isnan(t[s])
+            else f"t = {t[s]} is within 0.001 of a norm polynomial root")))
+        evals = {}
+        for j in linkage.graph.joints:
+            g = np.multiply.outer(t, DQ_ONE.as_array()) - j.generator.as_array()
+            g[home] = DQ_ONE.as_array()
+            evals[j.id] = g
+        neighbors = {l.id: [] for l in linkage.graph.links}
+        for jid, a, b in linkage.orientations:
+            neighbors[a].append((b, jid, True))
+            neighbors[b].append((a, jid, False))
+        raw = {linkage.ground: np.tile(DQ_ONE.as_array(), (len(t), 1))}
+        stack = [linkage.ground]
+        while stack:
+            cur = stack.pop()
+            for nxt, jid, forward in neighbors[cur]:
+                if nxt not in raw:
+                    g = evals[jid]
+                    raw[nxt] = dq_mul_array(raw[cur], g if forward else g * conj)
+                    stack.append(nxt)
+        disp = {lid: canonical_rows(g, t, fails) for lid, g in raw.items()}
+        for g in disp.values():
+            re = np.sum(g[:, :4] ** 2, axis=1)
+            du = 2.0 * np.sum(g[:, :4] * g[:, 4:], axis=1)
+            fails.append((~(np.abs(du) <= 1e-6 * (1.0 + re)), lambda s, du=du: NotInGroup(
+                f"Study defect {du[s]:.3e} exceeds tolerance at t = {t[s]}")))
+        positions = {}
+        for jid, a, _ in linkage.orientations:
+            anchor = classify_generator(linkage.graph.joint(jid).generator, 1e-6).anchor_point()
+            positions[jid] = act_rows(disp[a], anchor)
+        residuals = [np.zeros(len(t))]
+        for left, right in linkage.loops:
+            ends = []
+            for chain in (left, right):
+                prod = evals[chain[0]]
+                for jid in chain[1:]:
+                    prod = dq_mul_array(prod, evals[jid])
+                ends.append(canonical_rows(prod, t, fails))
+            u, v = ends
+            residuals.append(np.minimum(np.linalg.norm(u - v, axis=1), np.linalg.norm(u + v, axis=1)))
+    bad = np.array([mask for mask, _ in fails])
+    hit = np.flatnonzero(bad.any(axis=0))
+    if hit.size:
+        s = int(hit[0])
+        raise fails[int(np.argmax(bad[:, s]))][1](s)
+    return Configurations(t, disp, positions, np.max(residuals, axis=0))

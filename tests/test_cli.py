@@ -176,6 +176,49 @@ class TestFactor:
         assert "Traceback" not in captured.err + captured.out
 
 
+REAL_FACTOR_CUBIC = {"coeffs": [[-2, 0, 0, -2, 0, 0, 0, 0], [5, 0, 0, 3, 0, 0, 0, 0],
+                                 [-4, 0, 0, -1, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0, 0]]}
+
+
+class TestErrorBoundary:
+    """A MotionFactorError raised anywhere in a command exits 1 with the command's JSON error."""
+
+    @pytest.mark.parametrize("flags", [[], ["--all"]])
+    def test_real_linear_factor_is_typed(self, tmp_path, capsys, flags):
+        # (t - 1)(t - 2)(t - 1 - k): the report's kinds reject the real factor t - 1
+        path = write_json(tmp_path / "c.json", REAL_FACTOR_CUBIC)
+        code, out = run(capsys, ["factor", path, *flags])
+        assert code == 1
+        assert json.loads(out) == {"status": "error", "error": "NotLinearMotion",
+                                   "detail": "h is a real constant, t - h moves nothing"}
+
+    @pytest.mark.parametrize("name", ["max_real_factor", "is_bounded"])
+    def test_validate_checks_after_validation_are_typed(self, tmp_path, capsys, monkeypatch, name):
+        from motionfactor.errors import NotNonnegative
+
+        def failing(*args, **kwargs):
+            raise NotNonnegative("norm polynomial takes negative values")
+
+        monkeypatch.setattr(cli, name, failing)
+        code, out = run(capsys, ["validate", ellipse_file(tmp_path)])
+        assert code == 1
+        assert json.loads(out) == {"valid": False, "error": "NotNonnegative",
+                                   "detail": "norm polynomial takes negative values"}
+
+    def test_failed_export_writes_no_file(self, tmp_path, capsys):
+        # the README ellipse rotated 60 degrees about x: a spatial linkage, so no drawing
+        path = write_json(tmp_path / "tilted.json", {
+            "v": [[-4.0], [0.0, -1.0], [0.0, -1.7320508075688772]], "w": [1.0, 0.0, 1.0]})
+        out_dir = tmp_path / "out"
+        argv = ["--out", str(out_dir), "curve", path, "--export", "json", "--export", "svg"]
+        code, out = run(capsys, argv)
+        assert code == 1
+        assert json.loads(out)["error"] == "NotPlanar"
+        assert not out_dir.exists() or os.listdir(out_dir) == []
+        code, out = run(capsys, ["--out", str(out_dir), "curve", path])
+        assert code == 0 and os.listdir(out_dir) == ["linkage.json"]
+
+
 class TestSynth3:
     def test_three_random_poses(self, tmp_path, capsys, rng):
         poses = general_position_poses(rng)
@@ -228,6 +271,29 @@ class TestCurve:
             assert os.path.exists(f)
         linkage = import_linkage(json.loads((out_dir / "linkage.json").read_text()))
         assert linkage.tracer is not None
+
+    def test_curve_classifies_no_generator_one_by_one(self, tmp_path, capsys, monkeypatch):
+        # the joints are classified as rows: one generator_axes call per
+        # assembled linkage, none of classify_generator on the whole path
+        import motionfactor
+
+        path = write_json(tmp_path / "curve.json", {"v": [[-4.0], [0.0, -2.0], [0.0]], "w": [1.0, 0.0, 1.0]})
+        counts = collections.Counter()
+        for name in ("classify_generator", "generator_axes"):
+            fn = getattr(dualquat, name)
+
+            def spy(*args, _name=name, _fn=fn, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            for module in (motionfactor, dualquat, factorization, synthesis, linkage, cli):
+                if getattr(module, name, None) is fn:
+                    monkeypatch.setattr(module, name, spy)
+        argv = ["--out", str(tmp_path / "out"), "curve", path, "--export", "svg", "--export", "json"]
+        code, _ = run(capsys, argv)
+        assert code == 0
+        assert counts["classify_generator"] == 0
+        assert counts["generator_axes"] == 1
 
     def test_parser_built_once_without_shared_export_list(self, tmp_path, capsys):
         # the parser is cached per process: an --export list of one call

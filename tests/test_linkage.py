@@ -5,6 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from motionfactor import dualquat as dualquat_module
 from motionfactor import linkage as linkage_module
 from motionfactor.dualquat import (
     DQ_ONE,
@@ -15,7 +16,7 @@ from motionfactor.dualquat import (
     classify_generator,
     pose_distance,
 )
-from motionfactor.errors import ClosureMismatch, NotPlanar, SingularParameter
+from motionfactor.errors import ClosureMismatch, NotInGroup, NotOnStudyQuadric, NotPlanar, SingularParameter
 from motionfactor.factorization import all_factorizations
 from motionfactor.linkage import (
     Joint,
@@ -30,9 +31,14 @@ from motionfactor.linkage import (
     trajectory,
 )
 from motionfactor.polyring import DQPoly, RealPoly
-from motionfactor.synthesis import kempe_linkage_for_curve, synthesize_bennett
+from motionfactor.synthesis import kempe_linkage_for_curve, six_bar_from_cubic, synthesize_bennett
 
-from conftest import general_position_poses, random_generic_motion, random_rotation_generator
+from conftest import (
+    forward_kinematics_reference,
+    general_position_poses,
+    random_generic_motion,
+    random_rotation_generator,
+)
 
 
 def bennett_linkage(rng):
@@ -185,7 +191,7 @@ class TestForwardKinematics:
     def test_svg_export_is_one_kernel_call(self, monkeypatch):
         linkage, _, _ = ellipse_linkage()
         kernel = linkage_module.forward_kinematics
-        classify = linkage_module.classify_generator
+        classify = dualquat_module.classify_generator
         counts = {"kernel": 0, "classify": 0}
 
         def counting_kernel(*args, **kwargs):
@@ -197,15 +203,99 @@ class TestForwardKinematics:
             return classify(*args, **kwargs)
 
         monkeypatch.setattr(linkage_module, "forward_kinematics", counting_kernel)
-        monkeypatch.setattr(linkage_module, "classify_generator", counting_classify)
+        for module in (dualquat_module, linkage_module):
+            monkeypatch.setattr(module, "classify_generator", counting_classify, raising=False)
         classified = []
         for count in (5, 25):
             counts.update(kernel=0, classify=0)
             export(linkage, "svg", {"samples": default_samples(linkage, count)})
             assert counts["kernel"] == 1
             classified.append(counts["classify"])
-        # once per joint for the anchors; the drawing plane reads the generators
-        assert classified == [len(linkage.graph.joints)] * 2
+        # the anchors and the drawing plane are read from the linkage's joint arrays
+        assert classified == [0] * 2
+
+
+def planar_quartic_linkage():
+    a, b = 0.4, 2.5
+    w = RealPoly.of(np.convolve([1.0, 0.0, 1.0], [a * a + b * b, -2.0 * a, 1.0]))
+    v = (RealPoly((1.2, -0.8, 0.3, 1.5, -1.1)), RealPoly((-0.6, 1.7, -1.4, 0.2, 0.9)), RealPoly(()))
+    return kempe_linkage_for_curve(v, w)
+
+
+def with_generator(linkage, jid, row):
+    """The linkage with one joint's generator replaced, its kind kept and nothing rechecked."""
+    joints = tuple(
+        Joint(j.id, DualQuaternion.from_array(row), j.kind) if j.id == jid else j
+        for j in linkage.graph.joints
+    )
+    return dataclasses.replace(linkage, graph=LinkGraph(linkage.graph.links, joints))
+
+
+class TestForwardKinematicsEquivalence:
+    """The level-batched forward kinematics against the per-link walk kept in conftest."""
+
+    @pytest.fixture(scope="class")
+    def linkages(self):
+        rng = np.random.default_rng(41)
+        return {
+            "ellipse": ellipse_linkage()[0],
+            "quartic": planar_quartic_linkage(),
+            "bennett": bennett_linkage(rng),
+            "six_bar": six_bar_from_cubic(random_generic_motion(rng, 3)[0]),
+        }
+
+    @pytest.mark.parametrize("which", ["ellipse", "quartic", "bennett", "six_bar"])
+    def test_bit_equal(self, linkages, which):
+        linkage = linkages[which]
+        ts = default_samples(linkage, 25) + [float("inf"), float("-inf"), 0.0]
+        got, want = forward_kinematics(linkage, ts), forward_kinematics_reference(linkage, ts)
+        assert list(got.link_displacements) == list(want.link_displacements)
+        for lid, g in want.link_displacements.items():
+            assert np.array_equal(got.link_displacements[lid], g)
+        assert list(got.joint_positions) == list(want.joint_positions)
+        for jid, p in want.joint_positions.items():
+            assert np.array_equal(got.joint_positions[jid], p)
+        assert np.array_equal(got.loop_residuals, want.loop_residuals)
+        assert np.all(got.loop_residuals < 1e-9)
+
+    @staticmethod
+    def same_error(linkage, ts):
+        with pytest.raises(Exception) as want:
+            forward_kinematics_reference(linkage, ts)
+        with pytest.raises(Exception) as got:
+            forward_kinematics(linkage, ts)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+        return got.value
+
+    @pytest.mark.parametrize("which", ["ellipse", "quartic", "bennett", "six_bar"])
+    def test_nan_samples(self, linkages, which):
+        for ts in ([0.5, float("nan")], [float("nan"), 0.5, float("nan")], [float("inf"), float("nan")]):
+            assert isinstance(self.same_error(linkages[which], ts), SingularParameter)
+
+    def test_near_root_samples(self, linkages):
+        linkage = translation_pair_linkage()
+        for ts in ([3.0, 1.0, float("nan")], [1.0 + 5e-4, 2.0], [float("nan"), 1.0]):
+            assert isinstance(self.same_error(linkage, ts), SingularParameter)
+        # a rotation whose norm quadratic has its complex roots 1e-3 off the real axis
+        bennett = linkages["bennett"]
+        near = bennett.graph.rows[0] * [1.0, 1e-3, 1e-3, 1e-3, 1.0, 1e-3, 1e-3, 1e-3]
+        bent = with_generator(bennett, bennett.graph.joints[0].id, near)
+        assert isinstance(self.same_error(bent, [5.0, float(near[0]), 0.0]), SingularParameter)
+
+    @pytest.mark.parametrize("which", ["ellipse", "bennett", "six_bar"])
+    def test_out_of_group_samples(self, linkages, which):
+        # a Study defect inside the generator checks at 1e-6 that the link poses fail at 1e-6
+        linkage = linkages[which]
+        errors = set()
+        for k, joint in enumerate(linkage.graph.joints):
+            row = linkage.graph.rows[k].copy()
+            pv = row[1:4] / np.linalg.norm(row[1:4])
+            row[5:8] += 0.45e-6 * (1.0 + np.max(np.abs(row))) ** 2 / np.linalg.norm(row[1:4]) * pv
+            bent = with_generator(linkage, joint.id, row)
+            ts = [5.0, float(row[0]), -0.3, float("nan")]
+            errors.add(type(self.same_error(bent, ts)))
+        assert errors & {NotOnStudyQuadric, NotInGroup}
 
 
 class TestRigidity:
