@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -421,17 +422,18 @@ def _canonical_variety_point(s: float, n: float) -> np.ndarray:
 class _SearchState:
     target: np.ndarray
     budget: int
+    first: bool = False  # end the walk at its first chain of rotations
     nodes: int = 0
     truncated: bool = False
     family_seen: bool = False
     results: list[np.ndarray] = field(default_factory=list)
 
     def spend(self) -> bool:
-        self.nodes += 1
-        if self.nodes > self.budget:
-            self.truncated = True
+        if self.first and self.results:
             return False
-        return True
+        self.nodes += 1
+        self.truncated = self.nodes > self.budget
+        return not self.truncated
 
 
 def _remaining_after(groups: list[tuple[RealPoly, int]], idx: int) -> list[tuple[RealPoly, int]]:
@@ -584,10 +586,18 @@ def _family_candidates(
 
 
 def _record(state: _SearchState, hs: np.ndarray) -> None:
-    """Keep the (n, 8) factor chain hs when its product reconstructs the target."""
+    """Keep the (n, 8) chain hs if it reconstructs the target; with first, only one rotation chain."""
     target = state.target
-    if np.max(np.abs(chain_product(hs) - target)) <= 1e-5 * (1.0 + np.max(np.abs(target))):
+    wanted = not state.first or not state.results and _all_rotations(hs)
+    if wanted and np.max(np.abs(chain_product(hs) - target)) <= 1e-5 * (1.0 + np.max(np.abs(target))):
         state.results.append(hs)
+
+
+def _all_rotations(hs: np.ndarray) -> bool:
+    try:
+        return all(k == "rotation" for k in generator_kinds(hs, 1e-6))
+    except NotLinearMotion:
+        return False
 
 
 def _dfs(
@@ -629,11 +639,21 @@ def _dfs(
 # Planar subalgebra: exact factorization via complex linear algebra
 # ---------------------------------------------------------------------------
 
-def _distinct_sequences(clusters: list[tuple[complex, int]]) -> list[list[complex]]:
-    """Every distinct ordering of the roots, each repeated by its multiplicity."""
-    labels = [i for i, (_, k) in enumerate(clusters) for _ in range(k)]
-    seqs = sorted(set(itertools.permutations(labels)))
-    return [[clusters[i][0] for i in seq] for seq in seqs]
+def _distinct_sequences(clusters: list[tuple[complex, int]]) -> Iterator[list[complex]]:
+    """Every distinct ordering of the roots, each repeated by its multiplicity.
+
+    Orderings come lazily, in lexicographic order of the cluster labels.
+    """
+    seq = [i for i, (_, k) in enumerate(clusters) for _ in range(k)]
+    while True:
+        yield [clusters[i][0] for i in seq]
+        # next permutation: swap the last ascent with its smallest larger successor
+        i = next((i for i in range(len(seq) - 2, -1, -1) if seq[i] < seq[i + 1]), -1)
+        if i < 0:
+            return
+        j = next(j for j in range(len(seq) - 1, i, -1) if seq[j] > seq[i])
+        seq[i], seq[j] = seq[j], seq[i]
+        seq[i + 1:] = seq[:i:-1]
 
 
 def _lex_min_dual(w0: np.ndarray, nullspace: np.ndarray) -> np.ndarray:
@@ -747,20 +767,21 @@ def _ensure_monic(c: MotionPolynomial, diagnostics: list[str], tol: float) -> Mo
 
 
 def factor_with_backtracking(
-    c: MotionPolynomial, settings: SearchSettings | None = None
+    c: MotionPolynomial, settings: SearchSettings | None = None, *, first: bool = False
 ) -> FactorizationReport:
     """Depth first search over norm quadratic orders and solution families.
 
     Collects every distinct full linear factorization found within the node
     budget.  Encountered solution families are sampled (canonical
     representative, lookahead solutions, and a few deterministic samples), so
-    an infinite solution set yields finitely many representatives.
+    an infinite solution set yields finitely many representatives.  With
+    first, the search stops at the first factorization into rotations only.
     """
     st = settings or SearchSettings()
     diagnostics: list[str] = []
     cm = _ensure_monic(c, diagnostics, st.tol)
     d = cm.poly.as_array()
-    state = _SearchState(target=d, budget=st.budget)
+    state = _SearchState(target=d, budget=st.budget, first=first)
     frame = planar_frame(d)
     if frame is not None:
         # planar inputs reduce to commutative complex algebra and are solved
@@ -783,7 +804,7 @@ def factor_with_backtracking(
         return FactorizationReport(SUCCESS, tuple(facts), RP_ONE, tuple(diagnostics))
     if state.truncated:
         return FactorizationReport(NEEDS_MULTIPLIER, (), RP_ONE, tuple(diagnostics))
-    diagnostics.append("search tree exhausted without a full factorization")
+    diagnostics.append(f"search tree exhausted without a full {'rotation only ' * first}factorization")
     return FactorizationReport(NO_FACTORIZATION, (), RP_ONE, tuple(diagnostics))
 
 
@@ -816,12 +837,14 @@ def factor_bounded_with_multiplier(
     c: MotionPolynomial,
     max_deg: int | None = None,
     settings: SearchSettings | None = None,
+    *, first: bool = False,
 ) -> FactorizationReport:
     """Search for a real multiplier R so that c * R factors into rotations only.
 
     Candidates are ordered by degree: the trivial multiplier, then the
     irreducible quadratic factors of the real part of the primal, their
-    products, and finally products with squared factors.
+    products, and finally products with squared factors.  With first, the
+    search under each candidate stops at its first rotation-only chain.
     """
     st = settings or SearchSettings()
     diagnostics: list[str] = []
@@ -839,14 +862,8 @@ def factor_bounded_with_multiplier(
     )
     for r in candidates:
         target = validate_motion(cm.poly * r, st.tol)
-        rep = factor_with_backtracking(target, st)
-        rotations_only = []
-        for f in rep.factorizations:
-            try:
-                if all(k == "rotation" for k in generator_kinds(f.rows, 1e-6)):
-                    rotations_only.append(replace(f, multiplier=r))
-            except NotLinearMotion:
-                continue
+        rep = factor_with_backtracking(target, st, first=first)
+        rotations_only = [replace(f, multiplier=r) for f in rep.factorizations if _all_rotations(f.rows)]
         if rotations_only:
             diagnostics.extend(rep.diagnostics)
             diagnostics.append(f"multiplier {list(r.coeffs)} succeeded")

@@ -136,6 +136,8 @@ def assemble(loops, ground: str | None = None, tracer=None, tol: float = DEFAULT
     outgoing sides.  Raises ClosureMismatch when a chain pair does not
     multiply to the same polynomial.
     """
+    if not loops:
+        raise ValueError("a linkage needs at least one loop")
     ids, gens = zip(*[joint for left, right in loops for joint in (*left, *right)])
     rows = np.array([g.as_array() if isinstance(g, DualQuaternion) else g for g in gens], dtype=float)
     if rows.ndim != 2 or rows.shape[1] != 8:

@@ -21,25 +21,25 @@ from .dualquat import (
     Quaternion,
     act_on_point,
     generator_kinds,
-    planar_frame,
     study_form,
 )
 from .errors import (
+    ConstantRemainder,
     DegenerateFlip,
     DegeneratePoses,
     FactorizationNotFound,
     InsufficientFactorizations,
     InvalidCurve,
     NonGenericConic,
+    NonInvertibleLeading,
     UnboundedCurve,
 )
 from .factorization import (
     SUCCESS,
     SearchSettings,
-    UniqueSolution,
+    _linear_zeros,
     all_factorizations,
     factor_bounded_with_multiplier,
-    solve_linear_factor,
 )
 from .linkage import Linkage, assemble
 from .polyring import (
@@ -50,6 +50,7 @@ from .polyring import (
     common_real_factor,
     divide_linear,
     max_real_factor,
+    mod_quadratic,
     norm_quadratics,
     real_roots_complex,
     validate_motion,
@@ -193,17 +194,18 @@ def bennett_flip(m_prev, h, tol: float = DEFAULT_TOL) -> FlipResult:
     pair = np.array([g.as_array() if isinstance(g, DualQuaternion) else g for g in (m_prev, h)],
                     dtype=float)
     generator_kinds(pair, tol)
-    q_prev, q_h = (RealPoly(tuple(q)) for q in norm_quadratics(pair).tolist())
-    if (q_prev - q_h).max_abs() <= 1e-7 * (1.0 + q_prev.max_abs()):
+    q_prev, q_h = norm_quadratics(pair)
+    if np.max(np.abs(q_prev - q_h)) <= 1e-7 * (1.0 + np.max(np.abs(q_prev))):
         raise DegenerateFlip("norm quadratics of the pair coincide")
     x = chain_product(pair)
-    sol = solve_linear_factor(DQPoly.from_array(x), q_prev, tol)
-    if not isinstance(sol, UniqueSolution):
-        raise DegenerateFlip("flip does not have a unique solution")
-    quot, rem = divide_linear(x, sol.h.as_array())
+    try:
+        m = _linear_zeros(*mod_quadratic(x, q_prev[:2]), tol)
+    except (ConstantRemainder, NonInvertibleLeading):
+        raise DegenerateFlip("flip does not have a unique solution") from None
+    quot, rem = divide_linear(x, m)
     if not np.max(np.abs(rem)) <= 1e-7 * (1.0 + np.max(np.abs(x))):
         raise DegenerateFlip("flip reconstruction failed")
-    return FlipResult(np.array([-quot[0], sol.h.as_array()]))
+    return FlipResult(np.array([-quot[0], m]))
 
 
 def translation_motion_from_curve(
@@ -263,15 +265,13 @@ def kempe_linkage_for_curve(
     m0 = (DEFAULT_FLIP_JOINT if m0 is None else m0).as_array()
     if generator_kinds(m0[None], st.tol) != ["rotation"]:
         raise DegenerateFlip("extra joint m0 must be a rotation")
-    report = factor_bounded_with_multiplier(c, settings=st)
+    report = factor_bounded_with_multiplier(c, settings=st, first=True)
     if report.status != SUCCESS:
         raise FactorizationNotFound(
             "no rotation only factorization found for the curve motion; "
             + " | ".join(report.diagnostics)
         )
-    facts = report.factorizations
-    planar = (f for f in facts if planar_frame(f.factor_array()) is not None)
-    hs = next(planar, facts[0]).rows
+    hs = report.factorizations[0].rows
     quads = norm_quadratics(np.vstack([m0, hs]))
     if np.any(np.max(np.abs(quads[1:] - quads[0]), axis=1) <= 1e-7 * (1.0 + np.max(np.abs(quads[0])))):
         raise DegenerateFlip("norm quadratic of m0 collides with a factor norm")

@@ -486,3 +486,18 @@ class TestSearchOnArrays:
         h = fam.at(lam)
         assert np.allclose(fam.params_of(h), lam, atol=1e-12)
         assert fam.distance_to(DualQuaternion.from_array(h)) < 1e-12
+
+
+class TestDistinctSequences:
+    @pytest.mark.parametrize("counts", [(), (1,), (3,), (1, 1), (2, 1), (1, 2, 1), (2, 2), (1, 1, 1, 1), (3, 1, 2)])
+    def test_lazy_orderings_match_the_sorted_set(self, counts):
+        clusters = [(complex(i, 1.0), k) for i, k in enumerate(counts)]
+        labels = [i for i, k in enumerate(counts) for _ in range(k)]
+        want = [[clusters[i][0] for i in seq] for seq in sorted(set(itertools.permutations(labels)))]
+        assert list(factorization._distinct_sequences(clusters)) == want
+
+    def test_first_ordering_of_twelve_labels_without_enumerating(self):
+        # 12 distinct labels have 12! orderings: only the first is built
+        clusters = [(complex(i, 1.0), 1) for i in range(12)]
+        (first,) = itertools.islice(factorization._distinct_sequences(clusters), 1)
+        assert first == [z for z, _ in clusters]

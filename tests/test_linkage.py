@@ -103,6 +103,14 @@ class TestAssemble:
         assert len(linkage.graph.links) == 6
         assert len(linkage.graph.joints) == 6
 
+    def test_no_loops_rejected(self):
+        with pytest.raises(ValueError, match="a linkage needs at least one loop"):
+            assemble([])
+
+    def test_import_of_no_loops_rejected(self):
+        with pytest.raises(ValueError, match="a linkage needs at least one loop"):
+            import_linkage({"joints": [], "loops": []})
+
     def test_mismatched_chains_rejected(self, rng):
         h1 = random_rotation_generator(rng)
         h2 = random_rotation_generator(rng)

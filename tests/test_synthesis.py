@@ -1,8 +1,10 @@
+import math
 import sys
 
 import numpy as np
 import pytest
 
+from motionfactor import factorization, synthesis
 from motionfactor.dualquat import (
     DQ_ONE,
     DualQuaternion,
@@ -13,6 +15,7 @@ from motionfactor.dualquat import (
     Quaternion,
     act_on_point,
     normalize_pose,
+    planar_frame,
     pose_distance,
     projective_residual,
     study_form,
@@ -24,6 +27,7 @@ from motionfactor.errors import (
     MotionFactorError,
     UnboundedCurve,
 )
+from motionfactor.factorization import SUCCESS, factor_bounded_with_multiplier
 from motionfactor.polyring import DQPoly, RealPoly, validate_motion
 from motionfactor.synthesis import (
     bennett_flip,
@@ -289,6 +293,95 @@ class TestKempe:
         with pytest.raises(MotionFactorError):
             kempe_linkage_for_curve(v, RealPoly((1.0, 0.0, 1.0)), m0=m0)
         assert calls == []
+
+
+def seeded_ellipse(rng):
+    """Ellipse c + M (cos theta, sin theta) over w = t^2 + 1 whose point at t = inf is the origin."""
+    a, b = rng.uniform(0.5, 3.0, size=2)
+    phi, psi = rng.uniform(0.0, 2.0 * math.pi, size=2)
+
+    def rot(x):
+        return np.array([[math.cos(x), -math.sin(x)], [math.sin(x), math.cos(x)]])
+
+    m = 2.0 * rot(phi) @ np.diag([a, b]) @ rot(psi)
+    return (RealPoly(tuple(m[0])), RealPoly(tuple(m[1])), RealPoly(())), RealPoly((1.0, 0.0, 1.0))
+
+
+# planar quartic whose multiplier search needs w itself, of degree 4
+C1 = ((RealPoly((-0.651281012443394, 0.8624447963157468)),
+       RealPoly((0.6691532407894528, 1.2188436051712233)), RealPoly(())),
+      RealPoly((16.365943094043466, 10.124903331974439, 9.01480796787431, 4.435708342188955, 1.0)))
+README_ELLIPSE = ((RealPoly((-4.0,)), RealPoly((0.0, -2.0)), RealPoly(())), RealPoly((1.0, 0.0, 1.0)))
+_ellipse_rng = np.random.default_rng(31)
+FIRST_HIT_CURVES = [README_ELLIPSE] + [seeded_ellipse(_ellipse_rng) for _ in range(20)] + [C1]
+FIRST_HIT_IDS = ["readme"] + [f"ellipse{i}" for i in range(20)] + ["c1"]
+
+
+class TestFirstHit:
+    """curve takes the first rotation-only factorization the multiplier search meets."""
+
+    @staticmethod
+    def spent_nodes(monkeypatch, c, first):
+        states = []
+
+        class CountingState(factorization._SearchState):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                states.append(self)
+
+        monkeypatch.setattr(factorization, "_SearchState", CountingState)
+        rep = factor_bounded_with_multiplier(c, first=first)
+        return rep, sum(st.nodes for st in states)
+
+    @pytest.mark.parametrize("curve", FIRST_HIT_CURVES, ids=FIRST_HIT_IDS)
+    def test_first_hit_is_one_of_the_full_search(self, monkeypatch, curve):
+        c = translation_motion_from_curve(*curve)
+        first, first_nodes = self.spent_nodes(monkeypatch, c, True)
+        full, full_nodes = self.spent_nodes(monkeypatch, c, False)
+        assert first.status == full.status == SUCCESS
+        assert len(first.factorizations) == 1
+        assert first.multiplier.coeffs == full.multiplier.coeffs
+        (f,) = first.factorizations
+        assert f.multiplier.coeffs == full.multiplier.coeffs
+        assert min(np.max(np.abs(g.rows - f.rows)) for g in full.factorizations) <= 1e-9
+        assert 0 < first_nodes <= full_nodes
+
+    @pytest.mark.parametrize("curve", FIRST_HIT_CURVES, ids=FIRST_HIT_IDS)
+    def test_curve_linkage_is_planar_rigid_and_traces(self, curve):
+        v, w = curve
+        linkage = kempe_linkage_for_curve(v, w)
+        # the factor chain h1..hn that the flips were built on lies in one plane
+        hs = np.array([j.generator.as_array() for j in linkage.graph.joints if j.id.startswith("h")])
+        assert len(hs) == 2 * w.degree
+        assert planar_frame(hs) is not None
+        assert rigidity_check(linkage).passes()
+        ts = [-2.5, -0.7, 0.0, 0.3, 1.9]
+        got = trajectory(linkage, linkage.tracer[0], linkage.tracer[1], ts)
+        want = np.array([[vi(t) / w(t) for vi in v] for t in ts])
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_flips_take_the_linear_zero_path(self, monkeypatch):
+        flips, solves = [], []
+        flip, solve = synthesis.bennett_flip, factorization.solve_linear_factor
+
+        def flip_spy(*args, **kwargs):
+            flips.append(1)
+            return flip(*args, **kwargs)
+
+        def solve_spy(*args, **kwargs):
+            frame = sys._getframe(1)
+            while frame is not None:
+                if frame.f_code.co_name == "bennett_flip":
+                    solves.append(1)
+                frame = frame.f_back
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(synthesis, "bennett_flip", flip_spy)
+        monkeypatch.setattr(factorization, "solve_linear_factor", solve_spy)
+        monkeypatch.setattr(synthesis, "solve_linear_factor", solve_spy, raising=False)
+        kempe_linkage_for_curve(*README_ELLIPSE)
+        assert len(flips) == 4
+        assert solves == []
 
 
 class TestSixBar:
